@@ -52,6 +52,10 @@
 #      README/DESIGN/OPTIMIZER/EXPERIMENTS must point at a file that
 #      exists — and every #anchor fragment at a real heading slug in
 #      its target document — so doc cross-references can't rot
+#  16. a benchmark input check: `perfbench/run.py --validate` runs both
+#      ends of every benchmark input range, plain and profiled, so a VM
+#      change that breaks a benchmark input fails here rather than in
+#      the benchmark
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -321,5 +325,8 @@ for doc in README.md DESIGN.md OPTIMIZER.md EXPERIMENTS.md; do
         esac
     done < <(grep -oE '\]\([^)]+\)' "$doc" | sed -E 's/^\]\(//; s/\)$//')
 done
+
+echo "== benchmark: input ranges =="
+python3 perfbench/run.py --validate
 
 echo "== ok =="

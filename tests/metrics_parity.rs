@@ -11,7 +11,7 @@
 use heapdrag::core::{profile_with, Pipeline, ProfileRun, ReportSections, VmConfig};
 use heapdrag::obs::{Registry, Snapshot};
 use heapdrag::vm::{OpcodeClass, Program, SiteId};
-use heapdrag::workloads::workload_by_name;
+use heapdrag::workloads::{all_workloads, workload_by_name};
 
 fn write_log(run: &ProfileRun, program: &Program) -> String {
     let mut buf = Vec::new();
@@ -287,4 +287,28 @@ fn vm_level_metrics_agree_with_run_outcome() {
         run.outcome.heap.allocated_objects,
         "allocated-objects counter matches the heap stats"
     );
+}
+
+#[test]
+fn every_deep_gc_is_one_collection_when_nothing_is_finalized() {
+    // No workload declares a finalizer, so every deep GC's first
+    // collection is its census and no second collection runs.
+    for w in all_workloads() {
+        let registry = Registry::new();
+        let run = profile_with(
+            &w.original(),
+            &(w.default_input)(),
+            VmConfig::profiling(),
+            Some(&registry),
+        )
+        .expect("profiles");
+        let snap = registry.snapshot();
+        assert!(run.outcome.deep_gcs > 0, "{}: deep GCs ran", w.name);
+        assert_eq!(
+            snap.counters["vm_heap_gc_full_total"],
+            snap.counters["vm_deep_gc_total"],
+            "{}: one full collection per deep GC",
+            w.name
+        );
+    }
 }
