@@ -18,6 +18,7 @@ use std::time::Instant;
 
 use heapdrag_vm::ids::{ChainId, SiteId};
 
+use crate::engine::IdMap;
 pub(crate) use crate::engine::{accumulate_shard, PartialStats, ShardAccum};
 use crate::integrals::Integrals;
 use crate::parallel::{ParallelConfig, ParallelMetrics, ShardMetrics};
@@ -261,7 +262,7 @@ fn group_stats(partial: &PartialStats, patterns: &PatternConfig) -> GroupStats {
 /// constant-time derivation from the sums, so no fan-out is needed; the
 /// caller sorts the entries with a total order.
 fn finalize_groups<K, E, M>(
-    groups: HashMap<K, PartialStats>,
+    groups: IdMap<K, PartialStats>,
     patterns: &PatternConfig,
     make: M,
 ) -> Vec<E>

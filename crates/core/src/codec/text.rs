@@ -30,74 +30,132 @@ use crate::log::{ErrorCode, LogError};
 use crate::record::{GcSample, ObjectRecord, RetainRecord};
 
 use super::{
-    normalize_chain_name, Chunk, ChunkOut, LineMeta, OwnedChunk, OwnedLines, ScanOutput,
-    StreamScanState, TraceSink,
+    Chunk, ChunkOut, LineMeta, OwnedChunk, OwnedLines, ScanOutput, StreamScanState, TraceSink,
 };
 
 /// The line-1 header every v1 text log starts with.
 pub const TEXT_HEADER: &str = "heapdrag-log v1";
 
 /// Streams a trace in the text format to any [`io::Write`].
+///
+/// Each line is assembled in a byte buffer the sink reuses — digits by
+/// `push_u64`, `-` for an absent field — and handed to the writer in one
+/// `write_all`, so encoding a record allocates nothing.
 #[derive(Debug)]
 pub struct TextSink<W> {
     writer: W,
+    line: Vec<u8>,
 }
 
 impl<W: Write> TextSink<W> {
     /// Wraps `writer` in a text-format sink.
     pub fn new(writer: W) -> Self {
-        TextSink { writer }
+        TextSink {
+            writer,
+            line: Vec::with_capacity(128),
+        }
     }
+
+    /// Starts a new line with `directive`.
+    fn start(&mut self, directive: &[u8]) {
+        self.line.clear();
+        self.line.extend_from_slice(directive);
+    }
+
+    /// Appends ` <v>`.
+    fn push(&mut self, v: u64) {
+        self.line.push(b' ');
+        push_u64(&mut self.line, v);
+    }
+
+    /// Appends ` <v>`, or ` -` for an absent field.
+    fn push_opt(&mut self, v: Option<u64>) {
+        match v {
+            Some(v) => self.push(v),
+            None => self.line.extend_from_slice(b" -"),
+        }
+    }
+
+    /// Terminates the line and writes it out.
+    fn finish(&mut self) -> io::Result<()> {
+        self.line.push(b'\n');
+        self.writer.write_all(&self.line)
+    }
+}
+
+/// Appends the decimal digits of `v` to `buf`.
+fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[i..]);
 }
 
 impl<W: Write> TraceSink for TextSink<W> {
     fn begin(&mut self) -> io::Result<()> {
-        writeln!(self.writer, "{TEXT_HEADER}")
+        self.start(TEXT_HEADER.as_bytes());
+        self.finish()
     }
 
     fn chain(&mut self, id: ChainId, name: &str) -> io::Result<()> {
-        writeln!(self.writer, "chain {} {}", id.0, name)
+        self.start(b"chain");
+        self.push(id.0.into());
+        self.line.push(b' ');
+        self.line.extend_from_slice(name.as_bytes());
+        self.finish()
     }
 
     fn record(&mut self, r: &ObjectRecord) -> io::Result<()> {
-        writeln!(
-            self.writer,
-            "obj {} {} {} {} {} {} {} {} {}",
-            r.object.0,
-            r.class.0,
-            r.size,
-            r.created,
-            r.freed,
-            r.last_use.map_or("-".to_string(), |t| t.to_string()),
-            r.alloc_site.0,
-            r.last_use_site.map_or("-".to_string(), |c| c.0.to_string()),
-            r.at_exit as u8,
-        )
+        self.start(b"obj");
+        self.push(r.object.0);
+        self.push(r.class.0.into());
+        self.push(r.size);
+        self.push(r.created);
+        self.push(r.freed);
+        self.push_opt(r.last_use);
+        self.push(r.alloc_site.0.into());
+        self.push_opt(r.last_use_site.map(|c| c.0.into()));
+        self.push(r.at_exit.into());
+        self.finish()
     }
 
     fn sample(&mut self, s: &GcSample) -> io::Result<()> {
-        writeln!(
-            self.writer,
-            "gc {} {} {}",
-            s.time, s.reachable_bytes, s.reachable_count
-        )
+        self.start(b"gc");
+        self.push(s.time);
+        self.push(s.reachable_bytes);
+        self.push(s.reachable_count);
+        self.finish()
     }
 
     fn retain(&mut self, r: &RetainRecord) -> io::Result<()> {
-        writeln!(
-            self.writer,
-            "retain {} {} {} {} {} {}",
-            r.alloc_site.0,
-            r.size,
-            r.time,
-            r.depth,
-            r.truncated as u8,
-            normalize_chain_name(&r.path),
-        )
+        self.start(b"retain");
+        self.push(r.alloc_site.0.into());
+        self.push(r.size);
+        self.push(r.time);
+        self.push(r.depth.into());
+        self.push(r.truncated.into());
+        // The path, whitespace-normalized as `normalize_chain_name` does.
+        self.line.push(b' ');
+        for (i, word) in r.path.split_whitespace().enumerate() {
+            if i > 0 {
+                self.line.push(b' ');
+            }
+            self.line.extend_from_slice(word.as_bytes());
+        }
+        self.finish()
     }
 
     fn end(&mut self, end_time: u64) -> io::Result<()> {
-        writeln!(self.writer, "end {end_time}")
+        self.start(b"end");
+        self.push(end_time);
+        self.finish()
     }
 }
 
@@ -764,6 +822,248 @@ mod tests {
         assert_eq!(
             scanner.buffered_bytes(),
             ("obj 1 2 816 16 900 320 0 1 0".len() + "partial".len()) as u64
+        );
+    }
+
+    /// The `writeln!` encoder [`TextSink`] replaced, kept as the oracle
+    /// the line-buffer encoder must match byte for byte.
+    struct ReferenceSink<W>(W);
+
+    impl<W: Write> TraceSink for ReferenceSink<W> {
+        fn begin(&mut self) -> io::Result<()> {
+            writeln!(self.0, "{TEXT_HEADER}")
+        }
+
+        fn chain(&mut self, id: ChainId, name: &str) -> io::Result<()> {
+            writeln!(self.0, "chain {} {}", id.0, name)
+        }
+
+        fn record(&mut self, r: &ObjectRecord) -> io::Result<()> {
+            writeln!(
+                self.0,
+                "obj {} {} {} {} {} {} {} {} {}",
+                r.object.0,
+                r.class.0,
+                r.size,
+                r.created,
+                r.freed,
+                r.last_use.map_or("-".to_string(), |t| t.to_string()),
+                r.alloc_site.0,
+                r.last_use_site.map_or("-".to_string(), |c| c.0.to_string()),
+                r.at_exit as u8,
+            )
+        }
+
+        fn sample(&mut self, s: &GcSample) -> io::Result<()> {
+            writeln!(
+                self.0,
+                "gc {} {} {}",
+                s.time, s.reachable_bytes, s.reachable_count
+            )
+        }
+
+        fn retain(&mut self, r: &RetainRecord) -> io::Result<()> {
+            writeln!(
+                self.0,
+                "retain {} {} {} {} {} {}",
+                r.alloc_site.0,
+                r.size,
+                r.time,
+                r.depth,
+                r.truncated as u8,
+                crate::codec::normalize_chain_name(&r.path),
+            )
+        }
+
+        fn end(&mut self, end_time: u64) -> io::Result<()> {
+            writeln!(self.0, "end {end_time}")
+        }
+    }
+
+    /// A `u64` drawn mostly from the edges the digit loop can get wrong.
+    fn edge_u64(rng: &mut heapdrag_testkit::Rng) -> u64 {
+        match rng.range_u32(0, 8) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => u32::MAX.into(),
+            3 => 10u64.pow(rng.range_u32(0, 20)),
+            4 => 10u64.pow(rng.range_u32(1, 20)) - 1,
+            5 => rng.range_u64(0, 1000),
+            _ => rng.next_u64(),
+        }
+    }
+
+    fn edge_u32(rng: &mut heapdrag_testkit::Rng) -> u32 {
+        match rng.range_u32(0, 4) {
+            0 => 0,
+            1 => u32::MAX,
+            2 => rng.range_u32(0, 100),
+            _ => rng.next_u32(),
+        }
+    }
+
+    /// Words and whitespace runs, so paths and names need normalizing.
+    fn words(rng: &mut heapdrag_testkit::Rng) -> String {
+        const PARTS: [&str; 10] = [
+            "static",
+            "Main.cache",
+            "->",
+            "char[]",
+            "é",
+            " ",
+            "  ",
+            "\t",
+            "\n",
+            "\u{2003}",
+        ];
+        rng.vec(0, 8, |rng| *rng.choose(&PARTS)).concat()
+    }
+
+    fn arb_record(rng: &mut heapdrag_testkit::Rng) -> ObjectRecord {
+        let used = rng.bool();
+        ObjectRecord {
+            object: ObjectId(edge_u64(rng)),
+            class: ClassId(edge_u32(rng)),
+            size: edge_u64(rng),
+            created: edge_u64(rng),
+            freed: edge_u64(rng),
+            last_use: used.then(|| edge_u64(rng)),
+            alloc_site: ChainId(edge_u32(rng)),
+            last_use_site: rng.bool().then(|| ChainId(edge_u32(rng))),
+            at_exit: rng.bool(),
+        }
+    }
+
+    fn arb_sample(rng: &mut heapdrag_testkit::Rng) -> GcSample {
+        GcSample {
+            time: edge_u64(rng),
+            reachable_bytes: edge_u64(rng),
+            reachable_count: edge_u64(rng),
+        }
+    }
+
+    fn arb_retain(rng: &mut heapdrag_testkit::Rng) -> RetainRecord {
+        RetainRecord {
+            alloc_site: ChainId(edge_u32(rng)),
+            size: edge_u64(rng),
+            time: edge_u64(rng),
+            depth: edge_u32(rng),
+            truncated: rng.bool(),
+            // Mostly a real root, now and then nothing but whitespace.
+            path: format!(
+                "{}{}",
+                if rng.ratio(7, 8) {
+                    "static Holder.x"
+                } else {
+                    ""
+                },
+                words(rng)
+            ),
+        }
+    }
+
+    /// Drives `sink` through a whole trace: header, chains, records,
+    /// samples, retain samples, end marker.
+    fn drive<S: TraceSink>(
+        sink: &mut S,
+        chains: &[(ChainId, String)],
+        records: &[ObjectRecord],
+        samples: &[GcSample],
+        retains: &[RetainRecord],
+        end: u64,
+    ) {
+        sink.begin().unwrap();
+        for (id, name) in chains {
+            sink.chain(*id, name).unwrap();
+        }
+        for r in records {
+            sink.record(r).unwrap();
+        }
+        for s in samples {
+            sink.sample(s).unwrap();
+        }
+        for r in retains {
+            sink.retain(r).unwrap();
+        }
+        sink.end(end).unwrap();
+    }
+
+    #[test]
+    fn line_buffer_encoder_matches_writeln_reference() {
+        heapdrag_testkit::check(
+            "line_buffer_encoder_matches_writeln_reference",
+            256,
+            |rng| {
+                // The log ingester rejects duplicate records and samples, so
+                // keep the first of each for the round trip below.
+                let mut ids = std::collections::HashSet::new();
+                let records: Vec<ObjectRecord> = rng
+                    .vec(0, 12, arb_record)
+                    .into_iter()
+                    .filter(|r| ids.insert(r.object))
+                    .collect();
+                let mut seen = std::collections::HashSet::new();
+                let samples: Vec<GcSample> = rng
+                    .vec(0, 6, arb_sample)
+                    .into_iter()
+                    .filter(|s| seen.insert((s.time, s.reachable_bytes, s.reachable_count)))
+                    .collect();
+                let retains = rng.vec(0, 6, arb_retain);
+                let chains: Vec<(ChainId, String)> = rng.vec(0, 6, |rng| {
+                    let name =
+                        crate::codec::normalize_chain_name(&format!("Main.run@3 {}", words(rng)));
+                    (ChainId(edge_u32(rng)), name)
+                });
+                let end = edge_u64(rng);
+
+                let mut want = Vec::new();
+                drive(
+                    &mut ReferenceSink(&mut want),
+                    &chains,
+                    &records,
+                    &samples,
+                    &retains,
+                    end,
+                );
+                let mut got = Vec::new();
+                drive(
+                    &mut TextSink::new(&mut got),
+                    &chains,
+                    &records,
+                    &samples,
+                    &retains,
+                    end,
+                );
+                assert_eq!(
+                    String::from_utf8_lossy(&got),
+                    String::from_utf8_lossy(&want)
+                );
+
+                // A retain line with an empty path does not decode (the
+                // path field is required), so only those logs round-trip.
+                if retains.iter().any(|r| r.path.trim().is_empty()) {
+                    return;
+                }
+                let log = crate::Pipeline::options().ingest_bytes(&got).unwrap().log;
+                assert_eq!(log.records, records);
+                assert_eq!(log.samples, samples);
+                assert_eq!(log.end_time, end);
+                let normalized: Vec<RetainRecord> = retains
+                    .iter()
+                    .map(|r| RetainRecord {
+                        path: crate::codec::normalize_chain_name(&r.path),
+                        ..r.clone()
+                    })
+                    .collect();
+                assert_eq!(log.retains, normalized);
+                for (id, name) in &chains {
+                    assert!(
+                        log.chain_names.contains_key(id),
+                        "chain {} named {name:?}",
+                        id.0
+                    );
+                }
+            },
         );
     }
 }

@@ -38,12 +38,49 @@
 //! dropped (see `tests/live_parity.rs`).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use heapdrag_vm::ids::{ChainId, ClassId, ObjectId, SiteId};
 
 use crate::integrals::Integrals;
 use crate::pattern::PatternConfig;
 use crate::record::{GcSample, ObjectRecord, RetainRecord};
+
+/// A map keyed by dense integer ids (objects, chains, sites), hashed by
+/// [`IdHasher`] instead of SipHash. Nothing reads these maps in iteration
+/// order without sorting first, so the cheaper hash cannot change output.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A multiplicative hasher for integer keys: each word is folded in with
+/// a rotate, xor and multiply by an odd constant (the FxHash step). The
+/// multiply is a bijection on the low bits, so dense ids spread over the
+/// buckets, and it mixes them into the high bits the table's tag uses.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v.into());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
 
 /// Exact, order-independent per-group sums — everything
 /// [`GroupStats`](crate::analyzer::GroupStats) holds, with the lifetime
@@ -86,9 +123,9 @@ impl PartialStats {
 /// retaining the accumulator for the fleet-wide merge.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardAccum {
-    pub(crate) nested: HashMap<ChainId, PartialStats>,
-    pub(crate) coarse: HashMap<SiteId, PartialStats>,
-    pub(crate) pairs: HashMap<(ChainId, Option<ChainId>), PartialStats>,
+    pub(crate) nested: IdMap<ChainId, PartialStats>,
+    pub(crate) coarse: IdMap<SiteId, PartialStats>,
+    pub(crate) pairs: IdMap<(ChainId, Option<ChainId>), PartialStats>,
     pub(crate) totals: Integrals,
 }
 
@@ -301,7 +338,7 @@ struct WindowCell {
 #[derive(Debug, Clone, Default)]
 struct WindowBucket {
     index: u64,
-    sites: HashMap<ChainId, WindowCell>,
+    sites: IdMap<ChainId, WindowCell>,
 }
 
 #[derive(Debug, Clone)]
@@ -318,7 +355,7 @@ impl WindowRing {
             buckets: (0..slots)
                 .map(|_| WindowBucket {
                     index: u64::MAX,
-                    sites: HashMap::new(),
+                    sites: IdMap::default(),
                 })
                 .collect(),
         }
@@ -343,10 +380,10 @@ impl WindowRing {
 
     /// Sums the cells of buckets still inside the window ending at
     /// `clock`; stale (not yet recycled) slots are excluded by index.
-    fn in_window(&self, clock: u64) -> HashMap<ChainId, WindowCell> {
+    fn in_window(&self, clock: u64) -> IdMap<ChainId, WindowCell> {
         let newest = clock / self.advance;
         let oldest = (newest + 1).saturating_sub(self.buckets.len() as u64);
-        let mut sites: HashMap<ChainId, WindowCell> = HashMap::new();
+        let mut sites: IdMap<ChainId, WindowCell> = IdMap::default();
         for bucket in &self.buckets {
             if bucket.index == u64::MAX || bucket.index < oldest || bucket.index > newest {
                 continue;
@@ -369,9 +406,9 @@ struct LiveState {
     window: WindowSpec,
     cold_after: u64,
     ring: Option<WindowRing>,
-    residents: HashMap<ObjectId, Resident>,
+    residents: IdMap<ObjectId, Resident>,
     resident_bytes: u64,
-    idle: HashMap<ChainId, IdleHistogram>,
+    idle: IdMap<ChainId, IdleHistogram>,
     unmatched: u64,
 }
 
@@ -509,9 +546,9 @@ where
                 window: config.window,
                 cold_after: config.cold_after,
                 ring,
-                residents: HashMap::new(),
+                residents: IdMap::default(),
                 resident_bytes: 0,
-                idle: HashMap::new(),
+                idle: IdMap::default(),
                 unmatched: 0,
             })),
         }
@@ -672,7 +709,7 @@ where
             Some(live) => (live.window, live.cold_after),
             None => (WindowSpec::Unbounded, u64::MAX),
         };
-        let cells: HashMap<ChainId, WindowCell> = match self.live.as_ref().and_then(|l| l.ring.as_ref()) {
+        let cells: IdMap<ChainId, WindowCell> = match self.live.as_ref().and_then(|l| l.ring.as_ref()) {
             Some(ring) => ring.in_window(self.clock),
             None => self
                 .accum
@@ -705,7 +742,7 @@ where
         let mut resident_bytes = 0u64;
         let mut cold_objects = 0u64;
         let mut cold_bytes = 0u64;
-        let mut cold_cells: HashMap<ChainId, ColdSite> = HashMap::new();
+        let mut cold_cells: IdMap<ChainId, ColdSite> = IdMap::default();
         if let Some(live) = &self.live {
             resident_objects = live.residents.len() as u64;
             resident_bytes = live.resident_bytes;

@@ -1,7 +1,15 @@
 //! The on-line phase: a [`HeapObserver`] that maintains object trailers and
 //! emits [`ObjectRecord`]s as objects die.
-
-use std::collections::HashMap;
+//!
+//! The paper keeps each object's trailer *inside* the object, so updating
+//! it on allocation, use and reclamation is O(1). [`DragProfiler`] keeps
+//! the analogue outside the heap as a dense table: object ids are handed
+//! out densely and in increasing order within a run, so an allocation
+//! pushes the object's [`ObjectRecord`] straight onto the record list and
+//! stores its position in a `Vec<u32>` indexed by id. Uses and retain
+//! samples update or read that record in place; reclamation finishes it in
+//! place. The records therefore come out in id order without a sort, and
+//! memory stays one record plus one `u32` per object.
 
 use heapdrag_obs::{Counter, Gauge, Registry};
 use heapdrag_vm::error::VmError;
@@ -15,12 +23,6 @@ use heapdrag_vm::program::Program;
 use heapdrag_vm::site::SiteTable;
 
 use crate::record::{GcSample, ObjectRecord, RetainRecord};
-
-/// The live trailer attached to every object during the run.
-#[derive(Debug, Clone, Copy)]
-struct Trailer {
-    record: ObjectRecord,
-}
 
 /// Metric handles for the on-line phase.
 ///
@@ -72,9 +74,16 @@ impl ProfilerMetrics {
 /// A drag profiler: attach to a [`Vm`] run (or use the
 /// [`profile`] convenience) and collect per-object records plus deep-GC
 /// samples.
+///
+/// Records are kept in id order. Within one run that is allocation order,
+/// so no sort is needed; a profiler reused across runs (ids restart at 0)
+/// falls back to a stable sort by id at exit.
 #[derive(Debug, Default)]
 pub struct DragProfiler {
-    live: HashMap<ObjectId, Trailer>,
+    /// Per object id, `index + 1` of its live record in `records`; 0 for
+    /// an object that is not live (finished, or pinned and never
+    /// announced).
+    slots: Vec<u32>,
     records: Vec<ObjectRecord>,
     samples: Vec<GcSample>,
     retains: Vec<RetainRecord>,
@@ -102,12 +111,23 @@ impl DragProfiler {
         (self.records, self.samples, self.retains)
     }
 
-    /// Counts a finished record — the single bookkeeping point both
-    /// [`HeapObserver::on_free`] and the defensive exit flush go through, so
-    /// every object ends up in exactly one of reclaimed / at-exit.
-    fn note_record(&self, record: &ObjectRecord) {
+    /// The `records` index of `object`'s live record, if it has one.
+    fn live_index(&self, object: ObjectId) -> Option<usize> {
+        let slot = *self.slots.get(usize::try_from(object.0).ok()?)?;
+        (slot != 0).then(|| slot as usize - 1)
+    }
+
+    /// Finishes the live record in `slot` at `time`, clears the slot, and
+    /// counts it — the single bookkeeping point both
+    /// [`HeapObserver::on_free`] and the defensive exit flush go through,
+    /// so every object ends up in exactly one of reclaimed / at-exit.
+    fn finish(&mut self, slot: usize, time: u64, at_exit: bool) {
+        let index = std::mem::take(&mut self.slots[slot]) as usize - 1;
+        let record = &mut self.records[index];
+        record.freed = time;
+        record.at_exit = at_exit;
         if let Some(m) = &self.metrics {
-            if record.at_exit {
+            if at_exit {
                 m.at_exit.inc();
             } else {
                 m.reclaimed.inc();
@@ -123,31 +143,32 @@ impl HeapObserver for DragProfiler {
             m.alloc_bytes.add(event.size);
             m.ev_alloc.inc();
         }
-        self.live.insert(
-            event.object,
-            Trailer {
-                record: ObjectRecord {
-                    object: event.object,
-                    class: event.class,
-                    size: event.size,
-                    created: event.time,
-                    freed: event.time,
-                    last_use: None,
-                    alloc_site: event.site,
-                    last_use_site: None,
-                    at_exit: false,
-                },
-            },
-        );
+        let slot = usize::try_from(event.object.0).expect("object id fits the address space");
+        if slot >= self.slots.len() {
+            self.slots.resize(slot + 1, 0);
+        }
+        self.records.push(ObjectRecord {
+            object: event.object,
+            class: event.class,
+            size: event.size,
+            created: event.time,
+            freed: event.time,
+            last_use: None,
+            alloc_site: event.site,
+            last_use_site: None,
+            at_exit: false,
+        });
+        self.slots[slot] = u32::try_from(self.records.len()).expect("fewer than 2^32 records");
     }
 
     fn on_use(&mut self, event: UseEvent) {
         if let Some(m) = &self.metrics {
             m.ev_use[event.kind as usize].inc();
         }
-        if let Some(t) = self.live.get_mut(&event.object) {
-            t.record.last_use = Some(event.time);
-            t.record.last_use_site = Some(event.site);
+        if let Some(i) = self.live_index(event.object) {
+            let record = &mut self.records[i];
+            record.last_use = Some(event.time);
+            record.last_use_site = Some(event.site);
         }
     }
 
@@ -155,11 +176,8 @@ impl HeapObserver for DragProfiler {
         if let Some(m) = &self.metrics {
             m.ev_free.inc();
         }
-        if let Some(mut t) = self.live.remove(&event.object) {
-            t.record.freed = event.time;
-            t.record.at_exit = event.at_exit;
-            self.note_record(&t.record);
-            self.records.push(t.record);
+        if self.live_index(event.object).is_some() {
+            self.finish(event.object.0 as usize, event.time, event.at_exit);
         }
     }
 
@@ -181,9 +199,9 @@ impl HeapObserver for DragProfiler {
         }
         // The sampled object is alive (it survived the mark), so its
         // trailer resolves the allocation site.
-        if let Some(t) = self.live.get(&event.object) {
+        if let Some(i) = self.live_index(event.object) {
             self.retains.push(RetainRecord {
-                alloc_site: t.record.alloc_site,
+                alloc_site: self.records[i].alloc_site,
                 size: event.size,
                 time: event.time,
                 depth: event.path.depth,
@@ -201,15 +219,16 @@ impl HeapObserver for DragProfiler {
         }
         // Any objects the VM did not report at exit (it normally reports
         // all survivors) are flushed defensively here.
-        let leftovers: Vec<ObjectId> = self.live.keys().copied().collect();
-        for id in leftovers {
-            let mut t = self.live.remove(&id).expect("key just listed");
-            t.record.freed = time;
-            t.record.at_exit = true;
-            self.note_record(&t.record);
-            self.records.push(t.record);
+        for slot in 0..self.slots.len() {
+            if self.slots[slot] != 0 {
+                self.finish(slot, time, true);
+            }
         }
-        self.records.sort_by_key(|r| r.object);
+        // Only a profiler reused across runs (ids restart at 0) holds
+        // records out of id order.
+        if !self.records.is_sorted_by_key(|r| r.object) {
+            self.records.sort_by_key(|r| r.object);
+        }
     }
 
     /// The trailer update is last-write-wins per object, so the fast
@@ -439,6 +458,183 @@ mod tests {
             snap.counters["vm_heap_alloc_bytes_total"],
             run.outcome.heap.allocated_bytes
         );
+    }
+
+    /// The trailer table `DragProfiler` replaced — a map from object id
+    /// to trailer, flushed and sorted at exit — kept as the oracle for
+    /// record order and content.
+    #[derive(Default)]
+    struct MapProfiler {
+        live: std::collections::HashMap<ObjectId, ObjectRecord>,
+        records: Vec<ObjectRecord>,
+        retains: Vec<RetainRecord>,
+    }
+
+    impl HeapObserver for MapProfiler {
+        fn on_alloc(&mut self, e: AllocEvent) {
+            let record = ObjectRecord {
+                object: e.object,
+                class: e.class,
+                size: e.size,
+                created: e.time,
+                freed: e.time,
+                last_use: None,
+                alloc_site: e.site,
+                last_use_site: None,
+                at_exit: false,
+            };
+            self.live.insert(e.object, record);
+        }
+
+        fn on_use(&mut self, e: UseEvent) {
+            if let Some(r) = self.live.get_mut(&e.object) {
+                r.last_use = Some(e.time);
+                r.last_use_site = Some(e.site);
+            }
+        }
+
+        fn on_free(&mut self, e: FreeEvent) {
+            if let Some(mut r) = self.live.remove(&e.object) {
+                r.freed = e.time;
+                r.at_exit = e.at_exit;
+                self.records.push(r);
+            }
+        }
+
+        fn on_retain_sample(&mut self, e: RetainEvent) {
+            if let Some(r) = self.live.get(&e.object) {
+                self.retains.push(RetainRecord {
+                    alloc_site: r.alloc_site,
+                    size: e.size,
+                    time: e.time,
+                    depth: e.path.depth,
+                    truncated: e.path.truncated,
+                    path: e.path.text,
+                });
+            }
+        }
+
+        fn on_exit(&mut self, time: u64) {
+            for (_, mut r) in self.live.drain() {
+                r.freed = time;
+                r.at_exit = true;
+                self.records.push(r);
+            }
+            self.records.sort_by_key(|r| r.object);
+        }
+
+        fn use_delivery(&self) -> UseDelivery {
+            UseDelivery::Coalesced
+        }
+
+        fn retain_delivery(&self) -> RetainDelivery {
+            RetainDelivery::Sample
+        }
+    }
+
+    /// Feeds the same events to the dense-table profiler and the oracle.
+    fn both(events: impl Fn(&mut dyn HeapObserver)) -> (DragProfiler, MapProfiler) {
+        let mut dense = DragProfiler::new();
+        let mut oracle = MapProfiler::default();
+        events(&mut dense);
+        events(&mut oracle);
+        (dense, oracle)
+    }
+
+    fn alloc(o: &mut dyn HeapObserver, id: u64, time: u64, site: u32) {
+        o.on_alloc(AllocEvent::new(
+            ObjectId(id),
+            heapdrag_vm::ids::ClassId(1),
+            16 + id,
+            time,
+            heapdrag_vm::ids::ChainId(site),
+        ));
+    }
+
+    fn retain(o: &mut dyn HeapObserver, id: u64, time: u64) {
+        let path = heapdrag_vm::retain::RetainPath::new(format!("static Holder.x{id}"), 0, false);
+        o.on_retain_sample(RetainEvent::new(ObjectId(id), 16 + id, time, path));
+    }
+
+    #[test]
+    fn trailer_table_matches_map_oracle_on_handmade_events() {
+        use heapdrag_vm::ids::ChainId;
+        let (dense, oracle) = both(|o| {
+            // Ids 2 and 4 are pinned: numbered, never announced. Their use
+            // and free events must not touch any record.
+            for (id, site) in [(0, 7), (1, 8), (3, 9), (5, 7), (6, 8)] {
+                alloc(o, id, 100 * (id + 1), site);
+            }
+            o.on_use(UseEvent::new(
+                ObjectId(3),
+                UseKind::GetField,
+                900,
+                ChainId(11),
+            ));
+            o.on_use(UseEvent::new(
+                ObjectId(2),
+                UseKind::GetField,
+                910,
+                ChainId(12),
+            ));
+            o.on_use(UseEvent::new(
+                ObjectId(3),
+                UseKind::PutField,
+                950,
+                ChainId(13),
+            ));
+            // Frees out of id order; the pinned id's free is ignored.
+            o.on_free(FreeEvent::new(ObjectId(5), 1000));
+            o.on_free(FreeEvent::new(ObjectId(4), 1000));
+            o.on_free(FreeEvent::new(ObjectId(1), 1100));
+            // A retain sample on a live object resolves its alloc site;
+            // one on a freed object and one on a pinned id resolve nothing.
+            retain(o, 3, 1200);
+            retain(o, 1, 1200);
+            retain(o, 2, 1200);
+            o.on_free(FreeEvent::new(ObjectId(6), 1300).with_at_exit(true));
+            // Objects 0 and 3 are never reported: the exit flush takes them.
+            o.on_exit(1300);
+        });
+        assert_eq!(dense.records, oracle.records);
+        assert_eq!(dense.retains, oracle.retains);
+        let ids: Vec<u64> = dense.records.iter().map(|r| r.object.0).collect();
+        assert_eq!(ids, [0, 1, 3, 5, 6]);
+        assert_eq!(dense.retains.len(), 1);
+        assert_eq!(dense.retains[0].alloc_site, ChainId(9));
+        let flushed: Vec<u64> = dense
+            .records
+            .iter()
+            .filter(|r| r.at_exit)
+            .map(|r| r.object.0)
+            .collect();
+        assert_eq!(flushed, [0, 3, 6]);
+        assert_eq!(dense.records[2].last_use_site, Some(ChainId(13)));
+    }
+
+    #[test]
+    fn reused_profiler_matches_map_oracle_across_runs() {
+        let (p, _) = lifetime_program();
+        let mut config = VmConfig::profiling();
+        config.retain = heapdrag_vm::retain::RetainConfig::from_rate(0.5);
+        let mut dense = DragProfiler::new();
+        let mut oracle = MapProfiler::default();
+        for _ in 0..2 {
+            Vm::new(&p, config.clone())
+                .run_observed(&[], &mut dense)
+                .unwrap();
+            Vm::new(&p, config.clone())
+                .run_observed(&[], &mut oracle)
+                .unwrap();
+        }
+        // Ids restart at 0 in the second run, so the reused table holds
+        // every id twice and takes the sort path at exit.
+        let single = profile(&p, &[], config).unwrap().records.len();
+        assert_eq!(dense.records.len(), 2 * single);
+        assert!(!dense.retains.is_empty());
+        assert_eq!(dense.records, oracle.records);
+        assert_eq!(dense.retains, oracle.retains);
+        assert!(dense.records.windows(2).all(|w| w[0].object <= w[1].object));
     }
 
     #[test]

@@ -214,6 +214,7 @@ impl WorkerPool {
                 std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job)
             };
             let latch = Arc::clone(&latch);
+            let inner = Arc::clone(&self.inner);
             self.execute(Box::new(move || {
                 /// Counts the latch even when the job panics or is
                 /// dropped without running.
@@ -226,7 +227,11 @@ impl WorkerPool {
                     }
                 }
                 let _count = Count(latch);
-                job();
+                // Count a panic here, before `_count` releases the latch,
+                // so `scope`'s caller always sees it in `panics()`.
+                if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                    inner.panics.fetch_add(1, Ordering::Relaxed);
+                }
             }));
         }
         let (lock, cond) = &*latch;
@@ -356,6 +361,22 @@ mod tests {
             assert_eq!(*done, i != 3, "job {i}");
         }
         assert_eq!(pool.panics(), 1);
+    }
+
+    #[test]
+    fn scope_counts_the_panic_before_returning() {
+        // The panic must be counted before the latch lets `scope` return,
+        // not after the worker's own `catch_unwind`, or a fast caller
+        // reads a stale count.
+        let pool = WorkerPool::new(2);
+        for round in 1..=200u64 {
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+                Box::new(|| panic!("bad shard")),
+                Box::new(|| {}),
+            ];
+            pool.scope(jobs);
+            assert_eq!(pool.panics(), round, "round {round}");
+        }
     }
 
     #[test]
