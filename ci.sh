@@ -56,6 +56,14 @@
 #      ends of every benchmark input range, plain and profiled, so a VM
 #      change that breaks a benchmark input fails here rather than in
 #      the benchmark
+#  17. a determinism witness: a 1-second `--trace 0` benchmark run of
+#      each workload at a fixed seed (profile-churn 201, profile-retained
+#      211, report-large 214) must fail no operation, and its witness
+#      counters (steps, dispatch tallies, traced objects, deep GCs,
+#      records, log bytes, retain samples) must equal the committed
+#      tests/golden/bench_witness.json key for key; timings are not
+#      checked. A change to counted work re-blesses the baseline with
+#      `HEAPDRAG_BLESS=1 ./ci.sh` and commits the diff
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -328,5 +336,37 @@ done
 
 echo "== benchmark: input ranges =="
 python3 perfbench/run.py --validate
+
+echo "== benchmark: determinism witness =="
+for spec in profile-churn:201 profile-retained:211 report-large:214; do
+    python3 perfbench/run.py --workload "${spec%%:*}" --seed "${spec##*:}" \
+        --seconds 1 --trace 0 --out "$tmp/witness-${spec%%:*}.jsonl" > /dev/null
+done
+python3 - tests/golden/bench_witness.json "$tmp" <<'PY'
+import json, os, sys
+
+golden_path, tmp = sys.argv[1], sys.argv[2]
+golden = json.load(open(golden_path))
+got, bad = {}, False
+for workload, want in sorted(golden.items()):
+    lines = open(os.path.join(tmp, f"witness-{workload}.jsonl")).read().splitlines()
+    rec = json.loads(lines[-1])
+    if rec["failed"] != 0:
+        print(f"{workload}: {rec['failed']} of {rec['attempted']} operations failed")
+        bad = True
+    got[workload] = {"seed": want["seed"], "witness": rec["witness"]}
+    have = rec["witness"]
+    for key in sorted(set(want["witness"]) | set(have)):
+        a, b = want["witness"].get(key), have.get(key)
+        if a != b:
+            print(f"{workload}: witness {key}: baseline {a}, this run {b}")
+            bad = bad or os.environ.get("HEAPDRAG_BLESS") != "1"
+if os.environ.get("HEAPDRAG_BLESS") == "1":
+    with open(golden_path, "w") as f:
+        json.dump(got, f, indent=2, sort_keys=True)
+        f.write("\n")
+    print(f"blessed {golden_path}")
+sys.exit(1 if bad else 0)
+PY
 
 echo "== ok =="

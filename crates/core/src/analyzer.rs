@@ -294,8 +294,8 @@ impl DragAnalyzer {
     /// Partitions `records` (with the innermost-site resolver `innermost`,
     /// typically [`SiteTable::innermost`](heapdrag_vm::site::SiteTable::innermost))
     /// and produces the report. Sequential — the `shards = 1` special case
-    /// of [`analyze_sharded`](Self::analyze_sharded), kept separate so
-    /// resolvers need not be [`Sync`].
+    /// of [`crate::Pipeline::analyze_records`], kept separate so resolvers
+    /// need not be [`Sync`].
     pub fn analyze<F>(&self, records: &[ObjectRecord], innermost: F) -> DragReport
     where
         F: Fn(ChainId) -> Option<SiteId>,
@@ -304,29 +304,14 @@ impl DragAnalyzer {
         self.finalize(accum)
     }
 
-    /// The sharded analysis: splits `records` into
-    /// [`ParallelConfig::shards`] contiguous shards, accumulates each as a
-    /// job on the shared [`WorkerPool`](crate::serve::WorkerPool), merges
-    /// the partial groups
+    /// The sharded analysis behind [`crate::Pipeline::analyze_records`]:
+    /// splits `records` into [`ParallelConfig::shards`] contiguous shards,
+    /// accumulates each as a job on the shared
+    /// [`WorkerPool`](crate::serve::WorkerPool), merges the partial groups
     /// deterministically, and classifies the merged groups. The report is
     /// byte-identical to [`analyze`](Self::analyze) for every shard count;
     /// the returned [`ParallelMetrics`] carry per-shard record counts and
-    /// timings for the bench harness.
-    #[deprecated(note = "use `Pipeline::options().shards(n).analyze_records(records, innermost)`")]
-    pub fn analyze_sharded<F>(
-        &self,
-        records: &[ObjectRecord],
-        innermost: F,
-        par: &ParallelConfig,
-    ) -> (DragReport, ParallelMetrics)
-    where
-        F: Fn(ChainId) -> Option<SiteId> + Sync,
-    {
-        self.analyze_sharded_impl(records, innermost, par)
-    }
-
-    /// The analysis engine behind [`crate::Pipeline::analyze_records`] and
-    /// the deprecated [`analyze_sharded`](Self::analyze_sharded) wrapper.
+    /// timings.
     pub(crate) fn analyze_sharded_impl<F>(
         &self,
         records: &[ObjectRecord],

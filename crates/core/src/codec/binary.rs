@@ -65,9 +65,11 @@ use crate::log::{ErrorCode, LogError};
 use crate::record::{GcSample, ObjectRecord, RetainRecord};
 
 use super::{
-    frame_checksum, normalize_chain_name, read_varint, write_varint, Chunk, ChunkOut, FrameMeta,
-    OwnedChunk, OwnedFrames, ScanOutput, StreamScanState, TraceSink,
+    check_retain_path, frame_checksum, normalize_chain_name, read_varint, write_varint, ChunkOut,
+    FrameMeta, OwnedChunk, OwnedFrames, StreamScanState, TraceSink,
 };
+#[cfg(test)]
+use super::{Chunk, ScanOutput};
 
 /// The eight magic bytes every HDLOG v2 file starts with.
 pub const MAGIC: [u8; 8] = [0x89, b'H', b'D', b'L', b'G', b'2', 0x0D, 0x0A];
@@ -154,6 +156,7 @@ impl<W: Write> TraceSink for BinarySink<W> {
     }
 
     fn retain(&mut self, r: &RetainRecord) -> io::Result<()> {
+        check_retain_path(r)?;
         write_varint(&mut self.scratch, u64::from(r.alloc_site.0));
         write_varint(&mut self.scratch, r.size);
         write_varint(&mut self.scratch, r.time);
@@ -170,7 +173,8 @@ impl<W: Write> TraceSink for BinarySink<W> {
     }
 }
 
-/// One raw frame with its byte extent, as cut by [`scan`].
+/// One raw frame with its byte extent: a borrowed view the chunk decoder
+/// works on.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RawFrame<'a> {
     /// 1-based frame number (reported as the error `line`).
@@ -387,18 +391,19 @@ pub(crate) fn parse_chunk(frames: &[RawFrame<'_>], chunk: usize, salvage: bool) 
     out
 }
 
-/// The binary codec's scan pass: walk the frame stream once on the
-/// coordinating thread, hopping from length prefix to length prefix — no
-/// delimiter search. `chain`/`end` frames are verified and decoded in
-/// place; `obj`/`gc`/`retain` frames are batched into chunks of
-/// `chunk_records` frames for the worker pool, checksums deferred to the
-/// workers.
+/// The whole-input reference scan that [`StreamScanner`] is tested
+/// against: walk the frame stream once, hopping from length prefix to
+/// length prefix — no delimiter search. `chain`/`end` frames are verified
+/// and decoded in place; `obj`/`gc`/`retain` frames are batched into
+/// chunks of `chunk_records` frames, checksums deferred to the chunk
+/// decode.
 ///
 /// Framing-destroying faults (undecodable length prefix, truncation) end
 /// the scan: strict aborts, salvage keeps the intact prefix and counts
 /// the remainder as skipped. A complete frame with an unknown tag is
 /// skipped frame-by-frame (`E003`) — the envelope still walks. Payload-
 /// level faults in `chain`/`end` frames drop just that frame.
+#[cfg(test)]
 pub(crate) fn scan(bytes: &[u8], salvage: bool, chunk_records: usize) -> ScanOutput<'_> {
     let mut out = ScanOutput::new();
     let mut chunks: Vec<Vec<RawFrame<'_>>> = Vec::new();
@@ -548,7 +553,7 @@ pub(crate) fn scan(bytes: &[u8], salvage: bool, chunk_records: usize) -> ScanOut
 /// three-byte length prefix demand gigabytes of memory. Past the bound
 /// the scanner stops buffering, counts the remaining input, and reports
 /// the frame as a torn tail at end-of-stream. (The one divergence from
-/// the in-memory scan: a *legitimate* frame larger than this would have
+/// the reference scan: a *legitimate* frame larger than this would have
 /// decoded there — no real trace contains one.)
 const MAX_BUFFERED_FRAME: u64 = 64 * 1024 * 1024;
 
@@ -571,11 +576,12 @@ enum StallKind {
     },
 }
 
-/// The incremental counterpart of [`scan`]: fed arbitrary byte blocks,
-/// it walks the frame stream across block boundaries, holding only the
-/// current incomplete frame, and replays the exact error classification
-/// of the in-memory scan — including the E005-vs-E007 distinction for a
-/// length prefix that is corrupt versus merely truncated.
+/// The incremental scanner behind [`crate::stream`]: fed arbitrary byte
+/// blocks, it walks the frame stream across block boundaries, holding
+/// only the current incomplete frame, and replays the exact error
+/// classification of the whole-input reference scan its tests hold it
+/// against — including the E005-vs-E007 distinction for a length prefix
+/// that is corrupt versus merely truncated.
 #[derive(Debug)]
 pub(crate) struct StreamScanner {
     chunk_records: usize,
@@ -846,7 +852,7 @@ impl StreamScanner {
     }
 
     /// End-of-input reached with a frame still open: the torn-tail
-    /// classification of the in-memory scan. (The corrupt-prefix case is
+    /// classification of the reference scan. (The corrupt-prefix case is
     /// impossible here — `scan_buf` flags it as soon as ten bytes are in
     /// hand.)
     fn classify_tail(&mut self) {
@@ -1290,7 +1296,7 @@ mod tests {
             "message `{}` must count the true leftover",
             e.message
         );
-        // The in-memory scan classifies this identically (the claim also
+        // The reference scan classifies this identically (the claim also
         // exceeds that input's length).
         let batch = scan(&input, true, 8192);
         assert_eq!(batch.errors.last().unwrap(), e);

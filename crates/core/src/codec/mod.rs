@@ -11,13 +11,17 @@
 //!   checksum) that is substantially smaller on disk and faster to decode,
 //!   and whose frames shard on length prefixes instead of newline scans.
 //!
-//! Both formats decode through the single engine in
-//! [`crate::log::ingest_log`]: the same strict/salvage semantics, the same
-//! `E0xx` error taxonomy, and byte-identical analyzer reports for the same
-//! run — for every shard count. The codec-specific pieces are the *scan*
-//! (walk the input once on the coordinating thread, batching record
-//! payloads into `Chunk`s at line or frame boundaries) and the *chunk
+//! Both formats decode through the single engine in [`crate::stream`]:
+//! the same strict/salvage semantics, the same `E0xx` error taxonomy, and
+//! byte-identical analyzer reports for the same run — for every shard
+//! count. The codec-specific pieces are the incremental *scanner* (walk
+//! the input once on the coordinating thread, batching record payloads
+//! into owned chunks at line or frame boundaries) and the *chunk
 //! decode* (run on worker threads).
+//!
+//! Each codec also keeps, in its tests only, a whole-input `scan` over
+//! one borrowed buffer. It is the reference the incremental scanner is
+//! held against, for every feed size.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -94,7 +98,7 @@ impl FromStr for LogFormat {
 /// table, one call per record and sample, the end marker last — so a trace
 /// streams straight to its writer without ever materialising in memory.
 /// [`TextSink`] and [`BinarySink`] implement the two formats;
-/// [`crate::log::write_log_to`] drives either from a
+/// [`crate::Pipeline::write_to`] drives either from a
 /// [`ProfileRun`](crate::profiler::ProfileRun).
 pub trait TraceSink {
     /// Writes the format preamble (text header line or binary magic).
@@ -131,7 +135,9 @@ pub trait TraceSink {
     ///
     /// # Errors
     ///
-    /// Propagates writer errors.
+    /// [`io::ErrorKind::InvalidInput`], with nothing written, when the
+    /// path is empty or all whitespace: both decoders reject such a unit
+    /// (`E004`, missing `path`). Otherwise propagates writer errors.
     fn retain(&mut self, retain: &RetainRecord) -> io::Result<()>;
 
     /// Writes the end-of-log marker. Must be called last: its presence is
@@ -149,6 +155,18 @@ pub trait TraceSink {
 /// text-encode→ingest and binary-encode→ingest agree byte for byte.
 pub(crate) fn normalize_chain_name(name: &str) -> String {
     name.split_whitespace().collect::<Vec<_>>().join(" ")
+}
+
+/// Refuses a retain sample whose path is empty or all whitespace, which
+/// no decoder accepts back — see [`TraceSink::retain`].
+pub(crate) fn check_retain_path(r: &RetainRecord) -> io::Result<()> {
+    if r.path.split_whitespace().next().is_none() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "retain sample has an empty path",
+        ));
+    }
+    Ok(())
 }
 
 /// An `io::Write` adapter counting the bytes that pass through it.
@@ -241,9 +259,9 @@ pub(crate) struct ChunkOut {
     pub(crate) bytes_skipped: u64,
 }
 
-/// One parse work-unit: a batch of record-bearing lines (text) or frames
-/// (binary), cut at line/frame boundaries by the scan so workers never
-/// search the input for delimiters.
+/// One parse work-unit of the whole-input reference scans: a batch of
+/// record-bearing lines (text) or frames (binary) borrowed from the input.
+#[cfg(test)]
 #[derive(Debug)]
 pub(crate) enum Chunk<'a> {
     /// Text `obj`/`gc`/`retain` lines.
@@ -252,37 +270,8 @@ pub(crate) enum Chunk<'a> {
     Frames(Vec<binary::RawFrame<'a>>),
 }
 
+#[cfg(test)]
 impl Chunk<'_> {
-    /// Units (lines or frames) in the chunk. Chunks are never empty.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Chunk::Lines(lines) => lines.len(),
-            Chunk::Frames(frames) => frames.len(),
-        }
-    }
-
-    /// (line-or-frame number, byte offset) of the chunk's first unit.
-    pub(crate) fn first_position(&self) -> (usize, u64) {
-        match self {
-            Chunk::Lines(lines) => {
-                let first = lines.first().expect("chunks are never empty");
-                (first.line, first.byte)
-            }
-            Chunk::Frames(frames) => {
-                let first = frames.first().expect("chunks are never empty");
-                (first.frame, first.byte)
-            }
-        }
-    }
-
-    /// Total raw bytes covered by the chunk's units.
-    pub(crate) fn byte_len(&self) -> u64 {
-        match self {
-            Chunk::Lines(lines) => lines.iter().map(|l| l.len).sum(),
-            Chunk::Frames(frames) => frames.iter().map(|f| f.len).sum(),
-        }
-    }
-
     /// Decodes the chunk, timing the decode and counting what it produced.
     pub(crate) fn decode(&self, index: usize, salvage: bool) -> (ChunkOut, ShardMetrics) {
         let t = Instant::now();
@@ -308,8 +297,7 @@ impl Chunk<'_> {
 pub(crate) struct LineMeta {
     /// 1-based line number.
     pub(crate) line: usize,
-    /// Byte offset of the line start (in lossy-decoded coordinates, like
-    /// the in-memory scan).
+    /// Byte offset of the line start, in lossy-decoded coordinates.
     pub(crate) byte: u64,
     /// Raw byte length, terminator included.
     pub(crate) len: u64,
@@ -362,11 +350,11 @@ pub(crate) struct OwnedFrames {
     pub(crate) metas: Vec<FrameMeta>,
 }
 
-/// The owned counterpart of [`Chunk`], produced by the incremental
-/// scanners behind [`crate::stream`]. Decoding rebuilds the borrowed
-/// `RawLine`/`RawFrame` views over the owned buffer and runs the *same*
-/// `parse_chunk` as the in-memory path — which is what makes the two
-/// paths agree error for error.
+/// One parse work-unit: a batch of record-bearing lines (text) or frames
+/// (binary), cut at line/frame boundaries by the incremental scanners
+/// behind [`crate::stream`] so workers never search the input for
+/// delimiters. Decoding rebuilds borrowed `RawLine`/`RawFrame` views over
+/// the owned buffer and runs the codec's `parse_chunk`.
 #[derive(Debug)]
 pub(crate) enum OwnedChunk {
     /// Text `obj`/`gc`/`retain` lines.
@@ -410,7 +398,7 @@ impl OwnedChunk {
     }
 
     /// Decodes the chunk, timing the decode and counting what it
-    /// produced; mirrors [`Chunk::decode`] exactly.
+    /// produced.
     pub(crate) fn decode(&self, index: usize, salvage: bool) -> (ChunkOut, ShardMetrics) {
         let t = Instant::now();
         let out = match self {
@@ -423,6 +411,7 @@ impl OwnedChunk {
                         byte: m.byte,
                         len: m.len,
                         text: &c.buf[m.start..m.end],
+                        #[cfg(test)]
                         terminated: true,
                     })
                     .collect();
@@ -456,9 +445,10 @@ impl OwnedChunk {
 }
 
 /// Shared state accumulated by the incremental scanners
-/// ([`text::StreamScanner`], [`binary::StreamScanner`]): the streaming
-/// counterpart of [`ScanOutput`], minus the chunks, which are handed off
-/// to workers as they fill instead of piling up.
+/// ([`text::StreamScanner`], [`binary::StreamScanner`]): the header, chain
+/// table, and end marker parsed in place, plus the scan-level errors and
+/// drop counts. The chunks are handed off to workers as they fill instead
+/// of piling up here.
 #[derive(Debug)]
 pub(crate) struct StreamScanState {
     /// Chain-name table entries seen so far.
@@ -477,7 +467,7 @@ pub(crate) struct StreamScanState {
     /// `finish`.
     pub(crate) next_position: (usize, u64),
     /// Latched by the first scan-level error in strict mode; the reader
-    /// should stop feeding (the in-memory scan breaks at the same point).
+    /// should stop feeding.
     pub(crate) aborted: bool,
     salvage: bool,
 }
@@ -502,9 +492,8 @@ impl StreamScanState {
         self.salvage
     }
 
-    /// Records a scan-level error over `raw_len` input bytes; mirrors
-    /// [`ScanOutput::note`], with the strict-mode abort latched instead
-    /// of returned.
+    /// Records a scan-level error over `raw_len` input bytes: salvage
+    /// counts it as dropped, strict latches the abort.
     pub(crate) fn note(&mut self, e: LogError, raw_len: u64) {
         self.errors.push(e);
         if self.salvage {
@@ -516,9 +505,10 @@ impl StreamScanState {
     }
 }
 
-/// Everything a codec's scan pass hands back to the shared ingest engine:
-/// the record chunks for the worker pool, the shared state parsed in place
-/// (chain table, end marker), and the scan-level errors and drop counts.
+/// Everything a whole-input reference scan produces: the record chunks,
+/// the shared state parsed in place (chain table, end marker), and the
+/// scan-level errors and drop counts.
+#[cfg(test)]
 #[derive(Debug)]
 pub(crate) struct ScanOutput<'a> {
     /// Record-bearing chunks, in input order.
@@ -540,6 +530,7 @@ pub(crate) struct ScanOutput<'a> {
     pub(crate) next_position: (usize, u64),
 }
 
+#[cfg(test)]
 impl ScanOutput<'_> {
     pub(crate) fn new() -> Self {
         ScanOutput {

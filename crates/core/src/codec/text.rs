@@ -16,11 +16,12 @@
 //! <truncated 0|1> <path...>` — the path is the rest of the line,
 //! whitespace-normalized on both write and read.
 //!
-//! `scan` is the codec's half of the ingest engine: it walks the input
-//! once, parses the header/`chain`/`end` directives in place, and batches
-//! `obj`/`gc`/`retain` lines into `Chunk`s for the worker pool.
-//! [`TextSink`] is the streaming encoder. See [`crate::log`] for the
-//! strict/salvage semantics shared with the binary codec.
+//! `StreamScanner` is the codec's half of the ingest engine: fed the
+//! input block by block, it parses the header/`chain`/`end` directives in
+//! place and batches `obj`/`gc`/`retain` lines into owned chunks for the
+//! worker pool. [`TextSink`] is the streaming encoder. See
+//! [`crate::log`] for the strict/salvage semantics shared with the binary
+//! codec.
 
 use std::io::{self, Write};
 
@@ -30,8 +31,10 @@ use crate::log::{ErrorCode, LogError};
 use crate::record::{GcSample, ObjectRecord, RetainRecord};
 
 use super::{
-    Chunk, ChunkOut, LineMeta, OwnedChunk, OwnedLines, ScanOutput, StreamScanState, TraceSink,
+    check_retain_path, ChunkOut, LineMeta, OwnedChunk, OwnedLines, StreamScanState, TraceSink,
 };
+#[cfg(test)]
+use super::{Chunk, ScanOutput};
 
 /// The line-1 header every v1 text log starts with.
 pub const TEXT_HEADER: &str = "heapdrag-log v1";
@@ -135,6 +138,7 @@ impl<W: Write> TraceSink for TextSink<W> {
     }
 
     fn retain(&mut self, r: &RetainRecord) -> io::Result<()> {
+        check_retain_path(r)?;
         self.start(b"retain");
         self.push(r.alloc_site.0.into());
         self.push(r.size);
@@ -159,7 +163,8 @@ impl<W: Write> TraceSink for TextSink<W> {
     }
 }
 
-/// One raw input line with its byte extent, as produced by [`SplitLines`].
+/// One raw input line with its byte extent: a borrowed view the chunk
+/// decoder works on.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RawLine<'a> {
     /// 1-based line number.
@@ -170,24 +175,30 @@ pub(crate) struct RawLine<'a> {
     pub(crate) len: u64,
     /// Line content, terminator excluded.
     pub(crate) text: &'a str,
-    /// False only for a final line with no `\n` — a torn write.
+    /// False only for a final line with no `\n` — a torn write. Only the
+    /// reference scan reads it; the incremental scanner classifies torn
+    /// tails before it cuts a chunk.
+    #[cfg(test)]
     pub(crate) terminated: bool,
 }
 
 /// Like `str::lines`, but tracking byte offsets and whether each line was
 /// terminated, so torn tails are detectable and skipped bytes countable.
+#[cfg(test)]
 struct SplitLines<'a> {
     text: &'a str,
     pos: usize,
     line: usize,
 }
 
+#[cfg(test)]
 impl<'a> SplitLines<'a> {
     fn new(text: &'a str) -> Self {
         SplitLines { text, pos: 0, line: 0 }
     }
 }
 
+#[cfg(test)]
 impl<'a> Iterator for SplitLines<'a> {
     type Item = RawLine<'a>;
 
@@ -365,13 +376,14 @@ pub(crate) fn parse_chunk(lines: &[RawLine<'_>], chunk: usize, salvage: bool) ->
     out
 }
 
-/// The text codec's scan pass: one walk over the input on the
-/// coordinating thread. The header and the `end`/`chain` directives are
-/// parsed in place (they are rare and carry shared state), while
-/// `obj`/`gc`/`retain` lines — the bulk of a trace — are batched into
-/// chunks of `chunk_records` lines for the worker pool. In strict mode the scan
-/// aborts at the first scan-level error; in salvage mode bad lines are
-/// dropped and counted.
+/// The whole-input reference scan that [`StreamScanner`] is tested
+/// against: one walk over a borrowed buffer. The header and the
+/// `end`/`chain` directives are parsed in place (they are rare and carry
+/// shared state), while `obj`/`gc`/`retain` lines — the bulk of a trace —
+/// are batched into chunks of `chunk_records` lines. In strict mode the
+/// scan aborts at the first scan-level error; in salvage mode bad lines
+/// are dropped and counted.
+#[cfg(test)]
 pub(crate) fn scan(text: &str, salvage: bool, chunk_records: usize) -> ScanOutput<'_> {
     let mut out = ScanOutput::new();
     let mut chunks: Vec<Vec<RawLine<'_>>> = Vec::new();
@@ -466,14 +478,15 @@ pub(crate) fn scan(text: &str, salvage: bool, chunk_records: usize) -> ScanOutpu
     out
 }
 
-/// The incremental counterpart of [`scan`]: fed arbitrary byte blocks
-/// (however a reader happens to split them), it cuts at raw `\n` bytes,
-/// lossy-decodes each line on its own, and replays the exact per-line
-/// decision ladder of the in-memory scan. Cutting on raw `0x0A` before
-/// decoding is sound because `0x0A` never occurs inside a multi-byte
-/// UTF-8 sequence and always terminates an invalid run, so per-line lossy
-/// decoding concatenates to exactly the whole-input lossy decoding — line
-/// numbers and (lossy) byte offsets match the in-memory scan bit for bit.
+/// The incremental scanner behind [`crate::stream`]: fed arbitrary byte
+/// blocks (however a reader happens to split them), it cuts at raw `\n`
+/// bytes, lossy-decodes each line on its own, and replays the exact
+/// per-line decision ladder of the whole-input reference scan its tests
+/// hold it against. Cutting on raw `0x0A` before decoding is sound
+/// because `0x0A` never occurs inside a multi-byte UTF-8 sequence and
+/// always terminates an invalid run, so per-line lossy decoding
+/// concatenates to exactly the whole-input lossy decoding — line numbers
+/// and (lossy) byte offsets match the reference scan bit for bit.
 #[derive(Debug)]
 pub(crate) struct StreamScanner {
     chunk_records: usize,
@@ -482,7 +495,7 @@ pub(crate) struct StreamScanner {
     /// Lines processed so far.
     line: usize,
     /// Cumulative lossy-decoded length, i.e. the byte offset (in
-    /// in-memory-scan coordinates) of the next line.
+    /// reference-scan coordinates) of the next line.
     lossy_pos: u64,
     current: OwnedLines,
     /// The accumulated shared state; read it after [`Self::finish`].
@@ -509,7 +522,7 @@ impl StreamScanner {
 
     /// Feeds one block of input; completed chunks are appended to `out`.
     /// After a strict-mode error the scanner ignores further input (the
-    /// in-memory scan breaks at the same line).
+    /// reference scan breaks at the same line).
     pub(crate) fn feed(&mut self, data: &[u8], out: &mut Vec<OwnedChunk>) {
         if self.state.aborted {
             return;
@@ -988,8 +1001,40 @@ mod tests {
         sink.end(end).unwrap();
     }
 
+    /// Asserts both sinks refuse `r` with `InvalidInput` and write nothing.
+    fn assert_sinks_refuse(r: &RetainRecord) {
+        let mut buf = Vec::new();
+        let e = TextSink::new(&mut buf).retain(r).unwrap_err();
+        assert_eq!(
+            e.kind(),
+            io::ErrorKind::InvalidInput,
+            "text sink, path {:?}",
+            r.path
+        );
+        let e = crate::codec::BinarySink::new(&mut buf)
+            .retain(r)
+            .unwrap_err();
+        assert_eq!(
+            e.kind(),
+            io::ErrorKind::InvalidInput,
+            "binary sink, path {:?}",
+            r.path
+        );
+        assert!(buf.is_empty(), "a refused sample writes nothing");
+    }
+
     #[test]
     fn line_buffer_encoder_matches_writeln_reference() {
+        for path in ["", " ", "  \t\n\u{2003} "] {
+            assert_sinks_refuse(&RetainRecord {
+                alloc_site: ChainId(1),
+                size: 8,
+                time: 0,
+                depth: 1,
+                truncated: false,
+                path: path.into(),
+            });
+        }
         heapdrag_testkit::check(
             "line_buffer_encoder_matches_writeln_reference",
             256,
@@ -1008,7 +1053,15 @@ mod tests {
                     .into_iter()
                     .filter(|s| seen.insert((s.time, s.reachable_bytes, s.reachable_count)))
                     .collect();
-                let retains = rng.vec(0, 6, arb_retain);
+                // Neither sink writes a retain sample whose path is empty
+                // or all whitespace, since neither decoder accepts it back.
+                let (empty, retains): (Vec<RetainRecord>, Vec<RetainRecord>) = rng
+                    .vec(0, 6, arb_retain)
+                    .into_iter()
+                    .partition(|r| r.path.trim().is_empty());
+                for r in &empty {
+                    assert_sinks_refuse(r);
+                }
                 let chains: Vec<(ChainId, String)> = rng.vec(0, 6, |rng| {
                     let name =
                         crate::codec::normalize_chain_name(&format!("Main.run@3 {}", words(rng)));
@@ -1039,11 +1092,6 @@ mod tests {
                     String::from_utf8_lossy(&want)
                 );
 
-                // A retain line with an empty path does not decode (the
-                // path field is required), so only those logs round-trip.
-                if retains.iter().any(|r| r.path.trim().is_empty()) {
-                    return;
-                }
                 let log = crate::Pipeline::options().ingest_bytes(&got).unwrap().log;
                 assert_eq!(log.records, records);
                 assert_eq!(log.samples, samples);

@@ -24,8 +24,9 @@
 //! ratios of Tables 2 and 3.
 //!
 //! Every off-line entry point is reachable through one builder,
-//! [`Pipeline`]: in-memory or streaming input, strict or salvage fault
-//! policy, any shard count, either trace format. For production-size
+//! [`Pipeline`]: a byte buffer or any reader, strict or salvage fault
+//! policy, any shard count, either trace format — all through one
+//! streaming ingest engine ([`stream`]). For production-size
 //! traces both off-line stages — log decoding and per-site aggregation —
 //! run sharded across worker threads; see [`parallel`] for the
 //! [`ParallelConfig`] knobs and the determinism argument (reports are
@@ -93,8 +94,6 @@ pub use engine::{
 pub use live::{run_live, LiveOptions, LiveRun};
 pub use histogram::{Buckets, LifetimeHistogram};
 pub use integrals::Integrals;
-#[allow(deprecated)]
-pub use log::{ingest_log, parse_log, parse_log_sharded, write_log, write_log_binary, write_log_to};
 pub use log::{
     ErrorCode, IngestConfig, IngestMode, Ingested, LogError, ParsedLog, SalvageSummary,
 };
@@ -104,8 +103,6 @@ pub use pattern::{LifetimePattern, PatternConfig, TransformKind};
 pub use profiler::{profile, profile_with, DragProfiler, ProfileRun, ProfilerMetrics};
 pub use record::{GcSample, ObjectRecord, RetainRecord};
 pub use report::{anchor_site, ChainNamer, ProgramNamer, ReportSections};
-#[allow(deprecated)]
-pub use report::render;
 pub use serve::{
     ServeConfig, ServeManager, SessionId, SessionSource, SessionSpec, SessionState,
     SessionSummary, WorkerPool,

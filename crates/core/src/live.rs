@@ -39,7 +39,7 @@ use crate::codec::normalize_chain_name;
 use crate::engine::{DragEngine, EngineConfig, EngineSnapshot, SiteIdleSummary, WindowSpec};
 use crate::pattern::PatternConfig;
 use crate::record::{GcSample, ObjectRecord, RetainRecord};
-use crate::report::{fmt_mb2, ChainNamer, ReportSections};
+use crate::report::{fmt_mb2, ChainNamer};
 
 /// Configuration of a live profiling run.
 #[derive(Debug, Clone, Copy)]
@@ -79,9 +79,9 @@ impl Default for LiveOptions {
 #[derive(Debug)]
 pub struct LiveRun {
     /// The final drag report — with [`WindowSpec::Unbounded`] and zero
-    /// [`dropped`](Self::dropped), byte-identical (through
-    /// [`render_final`](Self::render_final)) to `report` over a log of
-    /// the same run.
+    /// [`dropped`](Self::dropped), byte-identical (rendered with
+    /// [`ReportSections::standard`](crate::ReportSections::standard)) to `report` over a log of the same
+    /// run.
     pub report: DragReport,
     /// Per-site idle-interval summaries (the coldness columns).
     pub coldness: Vec<SiteIdleSummary>,
@@ -122,22 +122,6 @@ impl ChainNamer for LiveRun {
             .get(&chain)
             .cloned()
             .unwrap_or_else(|| format!("<chain {}>", chain.0))
-    }
-}
-
-impl LiveRun {
-    /// The final report text: the standard drag report (byte-identical
-    /// to `report` under an unbounded window with zero drops) followed
-    /// by the coldness section.
-    #[deprecated(
-        since = "0.2.0",
-        note = "assemble with `ReportSections::standard(&run.report, &run).coldness(&run.coldness)`"
-    )]
-    pub fn render_final(&self, top: usize) -> String {
-        ReportSections::standard(&self.report, self)
-            .top(top)
-            .coldness(&self.coldness)
-            .render()
     }
 }
 

@@ -10,23 +10,24 @@
 //! * the length-prefixed **binary** frame format (HDLOG v2,
 //!   [`crate::codec::binary`]), smaller on disk and faster to decode.
 //!
-//! Every ingest entry point autodetects the format from the input's first
-//! bytes ([`LogFormat::detect`]); the write path picks a format explicitly
-//! ([`write_log_to`]). The end-of-log marker (the text `end` directive /
-//! the binary end frame) is written **last** by the profiler's exit path,
-//! so its presence certifies the log complete: a log without it was torn
-//! mid-write by a crash, a kill, or a full disk.
+//! Every ingest terminal of [`crate::Pipeline`] autodetects the format
+//! from the input's first bytes ([`LogFormat::detect`]); the write path
+//! picks a format explicitly ([`crate::Pipeline::format`]). The
+//! end-of-log marker (the text `end` directive / the binary end frame) is
+//! written **last** by the profiler's exit path, so its presence
+//! certifies the log complete: a log without it was torn mid-write by a
+//! crash, a kill, or a full disk.
 //!
 //! # Fault-tolerant ingestion
 //!
 //! Real traces come from runs that crashed, were killed, or hit `ENOSPC`,
 //! and lifetime measurements remain meaningful on the surviving prefix.
-//! [`ingest_log`] therefore supports two [`IngestMode`]s:
+//! Ingestion therefore supports two [`IngestMode`]s (see [`IngestConfig`]
+//! for the full salvage rules):
 //!
-//! * **Strict** (the default, and every `parse_log*` entry point): the
-//!   first malformed line or frame aborts the parse with a [`LogError`]
-//!   carrying a stable [`ErrorCode`], the 1-based line/frame number, and
-//!   the byte offset of the line or frame.
+//! * **Strict** (the default): the first malformed line or frame aborts
+//!   the parse with a [`LogError`] carrying a stable [`ErrorCode`], the
+//!   1-based line/frame number, and the byte offset of the line or frame.
 //! * **Salvage**: malformed or torn lines/frames are dropped and counted,
 //!   exact duplicate records are collapsed, and a missing end marker is
 //!   repaired by synthesizing the exit time from the latest event
@@ -34,24 +35,23 @@
 //!   was kept, dropped, and repaired — and which input format was
 //!   detected — and renders as the report footer.
 //!
-//! Both modes, in both formats, run under the same sharded decoder and
-//! produce results that are byte-identical for every shard count (see
-//! [`crate::parallel`]); the same run serialised as text or binary yields
-//! the identical [`ParsedLog`] and analyzer report.
+//! Both modes, in both formats, run through the one streaming engine
+//! ([`crate::stream`]) and produce results that are byte-identical for
+//! every shard count (see [`crate::parallel`]); the same run serialised as
+//! text or binary yields the identical [`ParsedLog`] and analyzer report.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::io;
-use std::time::Instant;
 
-use heapdrag_vm::ids::{ChainId, ObjectId};
+use heapdrag_vm::ids::ChainId;
 use heapdrag_vm::program::Program;
 
 use crate::codec::{
-    self, normalize_chain_name, BinarySink, CountingWriter, LogFormat, TextSink, TraceSink,
+    normalize_chain_name, BinarySink, CountingWriter, LogFormat, TextSink, TraceSink,
 };
-use crate::parallel::{ParallelConfig, ParallelMetrics, ShardMetrics};
+use crate::parallel::ParallelMetrics;
 use crate::profiler::ProfileRun;
 use crate::record::{GcSample, ObjectRecord, RetainRecord};
 use crate::report::ChainNamer;
@@ -75,7 +75,7 @@ use crate::report::ChainNamer;
 /// | `E007` | `torn-tail` | unterminated final line / truncated final frame | error | the torn tail dropped |
 /// | `E008` | `too-many-errors` | salvage exceeded its `--max-errors` bound | — | fatal |
 /// | `E009` | `duplicate-record` | a record/sample appears twice | undetected | duplicate collapsed |
-/// | `E010` | `worker-lost` | a parse worker panicked; its chunks are gone | error | chunks dropped |
+/// | `E010` | `worker-lost` | a decode job panicked; its chunk is lost | error | chunk dropped |
 /// | `E011` | `frame-checksum` | a binary frame's checksum does not match | error | frame dropped |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
@@ -113,8 +113,8 @@ pub enum ErrorCode {
     /// `E009`: the same object record (by id) or an identical deep-GC
     /// sample appears more than once, e.g. from a replayed write buffer.
     DuplicateRecord,
-    /// `E010`: a parse worker thread panicked and the chunks it had
-    /// claimed were lost. Other workers' chunks are unaffected.
+    /// `E010`: a decode job panicked and the chunk it was decoding was
+    /// lost. Every other chunk is unaffected.
     WorkerLost,
     /// `E011`: a binary frame's stored checksum does not match its
     /// contents. Framing survives (the length prefix still walks to the
@@ -225,12 +225,11 @@ impl fmt::Display for LogError {
 
 impl Error for LogError {}
 
-/// How [`ingest_log`] treats malformed input.
+/// How ingestion treats malformed input (see [`IngestConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestMode {
-    /// Abort at the first malformed line — the historical `parse_log`
-    /// behaviour, and the right default when a log is expected to be
-    /// complete.
+    /// Abort at the first malformed line — the right default when a log
+    /// is expected to be complete.
     #[default]
     Strict,
     /// Keep going: drop what cannot be decoded, collapse duplicates,
@@ -240,6 +239,38 @@ pub enum IngestMode {
 }
 
 /// Ingestion knobs: the [`IngestMode`] plus the salvage error budget.
+/// [`crate::Pipeline::strict`] and [`crate::Pipeline::salvage`] set it;
+/// every ingest terminal honours it the same way.
+///
+/// **Strict** ([`IngestConfig::strict`]) demands a complete log — a
+/// well-formed header, decodable directives, a terminated final line
+/// (text) or intact frames (binary), and the end-of-log marker — and
+/// returns the first malformed unit's error (the smallest line/frame
+/// number, for every shard count). **Salvage**
+/// ([`IngestConfig::salvage`]) instead:
+///
+/// 1. drops undecodable lines/frames (counting units and bytes per
+///    [`ErrorCode`]) — a binary checksum mismatch drops exactly one
+///    frame, while a fault that destroys framing (corrupt length prefix,
+///    truncation) keeps the intact prefix and drops the rest,
+/// 2. drops a torn tail (unterminated final line / truncated frame),
+/// 3. collapses exact duplicate records (by object id) and deep-GC
+///    samples (`E009`), in input order; retain samples carry no identity
+///    and are never collapsed,
+/// 4. synthesizes the exit time from the latest observed
+///    `freed`/sample/retain time when the end marker is missing (`E006`)
+///    — the synthesized exit is never earlier than any kept record's
+///    reclamation time, so every kept record's drag equals its value in
+///    the complete log, and
+/// 5. fails only on an empty input (`E001`) or when the error count
+///    exceeds [`max_errors`](Self::max_errors) (`E008`).
+///
+/// The kept log and its [`SalvageSummary`] are identical for every
+/// [`ParallelConfig`](crate::ParallelConfig): chunking is decided by the
+/// scan (not the worker count), drops are per-unit decisions, and the
+/// duplicate collapse runs at the ordered merge. A decode job that panics
+/// loses only its own chunk (`E010`): an error under strict, a dropped
+/// chunk under salvage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngestConfig {
     /// Strict or salvage.
@@ -274,7 +305,7 @@ impl IngestConfig {
 /// display; the rest are only counted in the histogram.
 pub const FIRST_ERRORS_CAP: usize = 5;
 
-/// What salvage kept, dropped, and repaired — threaded from [`ingest_log`]
+/// What salvage kept, dropped, and repaired — threaded from ingestion
 /// through the analyzer to the report footer and the
 /// `heapdrag_salvage_*` metrics.
 ///
@@ -488,34 +519,16 @@ pub struct Ingested {
 }
 
 /// Streams a profiling run (phase-1 output) to `writer` in the chosen
-/// format, returning the number of bytes written.
+/// format, returning the number of bytes written — the engine behind
+/// [`crate::Pipeline::write_to`].
 ///
 /// The trace is driven event by event through a [`TraceSink`] — header,
 /// chain table, records, samples, end marker last — so nothing is buffered
-/// beyond the writer's own buffering; pair with a
-/// [`std::io::BufWriter`] for file output. The end marker written last is
-/// what certifies the log complete, and its absence tells the salvage
-/// parser the run was cut short.
-///
-/// Chain names are whitespace-normalized at write time, which is what
-/// makes the text and binary encodings of the same run decode to identical
-/// [`ParsedLog`]s.
-///
-/// # Errors
-///
-/// Propagates writer I/O errors.
-#[deprecated(note = "use `Pipeline::options().format(..).write_to(run, program, writer)`")]
-pub fn write_log_to<W: io::Write>(
-    run: &ProfileRun,
-    program: &Program,
-    format: LogFormat,
-    writer: W,
-) -> io::Result<u64> {
-    write_run_to(run, program, format, writer)
-}
-
-/// The write engine behind [`crate::Pipeline::write_to`] and the
-/// deprecated `write_log*` wrappers.
+/// beyond the writer's own buffering. The end marker written last is what
+/// certifies the log complete, and its absence tells the salvage parser
+/// the run was cut short. Chain names are whitespace-normalized at write
+/// time, which is what makes the text and binary encodings of the same run
+/// decode to identical [`ParsedLog`]s.
 pub(crate) fn write_run_to<W: io::Write>(
     run: &ProfileRun,
     program: &Program,
@@ -574,361 +587,48 @@ fn drive_sink<S: TraceSink>(
     sink.end(run.outcome.end_time)
 }
 
-/// Serialises a profiling run as a text log in one `String` — a thin
-/// wrapper for callers and tests that want the historical
-/// buffer-returning shape.
-#[deprecated(note = "use `Pipeline::options().write_to(run, program, &mut buf)`")]
-pub fn write_log(run: &ProfileRun, program: &Program) -> String {
-    let mut buf = Vec::new();
-    write_run_to(run, program, LogFormat::Text, &mut buf)
-        .expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("the text codec emits UTF-8")
-}
-
-/// Serialises a profiling run as an HDLOG v2 binary log in one `Vec` —
-/// the binary sibling of [`write_log`].
-#[deprecated(
-    note = "use `Pipeline::options().format(LogFormat::Binary).write_to(run, program, &mut buf)`"
-)]
-pub fn write_log_binary(run: &ProfileRun, program: &Program) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_run_to(run, program, LogFormat::Binary, &mut buf)
-        .expect("writing to a Vec cannot fail");
-    buf
-}
-
-/// Parses a phase-1 log (phase-2 input), strictly and sequentially — the
-/// `shards = 1` special case of [`parse_log_sharded`].
-///
-/// Strict mode demands a complete log: a well-formed header, decodable
-/// directives, a terminated final line (text) or intact frames (binary),
-/// and the end-of-log marker. To ingest a log from a crashed or killed
-/// run instead, use [`ingest_log`] with [`IngestConfig::salvage`], which
-/// degrades gracefully and reports what it dropped.
-///
-/// # Errors
-///
-/// Returns the [`LogError`] of the first malformed line (smallest line
-/// number), with its stable [`ErrorCode`] and byte offset.
-#[deprecated(note = "use `Pipeline::options().ingest_bytes(text)`")]
-pub fn parse_log(text: &str) -> Result<ParsedLog, LogError> {
-    ingest_bytes_impl(
-        text.as_bytes(),
-        &ParallelConfig::sequential(),
-        &IngestConfig::strict(),
-    )
-    .map(|i| i.log)
-}
-
-/// Parses a phase-1 log strictly with a sharded record decoder.
-///
-/// The coordinating thread scans the file once: shared state (the header,
-/// chain table, and end marker) is parsed in place, while record-bearing
-/// lines/frames — the bulk of a trace — are batched into chunks of
-/// [`ParallelConfig::chunk_records`] units and decoded on up to
-/// [`ParallelConfig::shards`] worker threads. Chunks are reassembled in
-/// input order, so the resulting [`ParsedLog`] is identical to the
-/// sequential parse; when several units are malformed, the reported
-/// [`LogError`] is the one with the smallest line/frame number, exactly
-/// as the sequential scan would have reported.
-///
-/// # Errors
-///
-/// Returns the first malformed unit's [`LogError`], for any shard count.
-#[deprecated(note = "use `Pipeline::options().shards(n).ingest_bytes(text)`")]
-pub fn parse_log_sharded(
-    text: &str,
-    par: &ParallelConfig,
-) -> Result<(ParsedLog, ParallelMetrics), LogError> {
-    ingest_bytes_impl(text.as_bytes(), par, &IngestConfig::strict()).map(|i| (i.log, i.metrics))
-}
-
-/// The single ingestion engine behind every parse entry point: format
-/// autodetection by magic bytes, one scan on the coordinating thread
-/// (via the detected codec), sharded record decoding, then a
-/// deterministic merge.
-///
-/// Accepts anything byte-like (`&str`, `&[u8]`, `Vec<u8>`, `String`):
-/// text logs are lossily decoded as UTF-8, binary logs are parsed as
-/// frames.
-///
-/// **Strict** ([`IngestConfig::strict`]) returns the first malformed
-/// unit's error. **Salvage** ([`IngestConfig::salvage`]) instead:
-///
-/// 1. drops undecodable lines/frames (counting units and bytes per
-///    [`ErrorCode`]) — a binary checksum mismatch drops exactly one
-///    frame, while a fault that destroys framing (unknown tag, corrupt
-///    length prefix, truncation) keeps the intact prefix and drops the
-///    rest,
-/// 2. drops a torn tail (unterminated final line / truncated frame),
-/// 3. collapses exact duplicate records (by object id) and samples,
-/// 4. synthesizes the exit time from the latest observed `freed`/sample
-///    time when the end marker is missing — the synthesized exit is
-///    never earlier than any kept record's reclamation time, so every
-///    kept record's drag equals its value in the complete log, and
-/// 5. fails only on an empty input (`E001`) or when the error count
-///    exceeds [`IngestConfig::max_errors`] (`E008`).
-///
-/// The returned [`ParsedLog`] and [`SalvageSummary`] are identical for
-/// every [`ParallelConfig`]: chunking is decided by the scan (not the
-/// worker count), drops are per-unit decisions, and the duplicate
-/// collapse runs at the sequential merge in input order. A worker thread
-/// that panics loses only the chunks it claimed (`E010`); under strict
-/// that is a per-chunk error, under salvage those chunks are dropped.
-///
-/// # Errors
-///
-/// Strict: the first malformed unit. Salvage: `E001` or `E008` only.
-#[deprecated(note = "use `Pipeline::options().salvage(..).ingest_bytes(input)` (or \
-`.ingest_reader(..)` for bounded-memory streaming)")]
-pub fn ingest_log(
-    input: impl AsRef<[u8]>,
-    par: &ParallelConfig,
-    ingest: &IngestConfig,
-) -> Result<Ingested, LogError> {
-    ingest_bytes_impl(input.as_ref(), par, ingest)
-}
-
-pub(crate) fn ingest_bytes_impl(
-    bytes: &[u8],
-    par: &ParallelConfig,
-    ingest: &IngestConfig,
-) -> Result<Ingested, LogError> {
-    let start = Instant::now();
-    let salvage = ingest.is_salvage();
-    let mut metrics = ParallelMetrics::default();
-    let split_start = Instant::now();
-
-    if bytes.is_empty() {
-        return Err(LogError::new(ErrorCode::EmptyLog, 1, "empty log".into()));
-    }
-
-    let format = LogFormat::detect(bytes);
-    let chunk_records = par.effective_chunk();
-    let text_storage;
-    let scan = match format {
-        LogFormat::Binary => codec::binary::scan(bytes, salvage, chunk_records),
-        LogFormat::Text => {
-            text_storage = String::from_utf8_lossy(bytes);
-            codec::text::scan(&text_storage, salvage, chunk_records)
-        }
-    };
-    metrics.split_elapsed = split_start.elapsed();
-
-    let codec::ScanOutput {
-        chunks,
-        chain_names,
-        end_time,
-        saw_end,
-        errors: scan_errors,
-        units_dropped,
-        bytes_skipped,
-        next_position,
-    } = scan;
-
-    let mut summary = SalvageSummary {
-        salvage,
-        format,
-        lines_dropped: units_dropped,
-        bytes_skipped,
-        ..SalvageSummary::default()
-    };
-    let mut log = ParsedLog {
-        end_time,
-        chain_names,
-        ..ParsedLog::default()
-    };
-
-    // Decode the chunks, work-stealing over chunk indices so a slow chunk
-    // cannot serialise the rest. The stealing loops run as borrowing jobs
-    // on the shared worker pool (one per effective shard) rather than on
-    // per-call threads. Results land in per-chunk slots; a job that
-    // panics loses only the chunk it was decoding — the empty slots are
-    // degraded to per-chunk `E010` errors below rather than aborting the
-    // whole process.
-    let workers = par.effective_shards(chunks.len());
-    let mut slots: Vec<Option<(codec::ChunkOut, ShardMetrics)>> = if workers <= 1 {
-        chunks
-            .iter()
-            .enumerate()
-            .map(|(i, c)| Some(c.decode(i, salvage)))
-            .collect()
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let chunks_ref = &chunks;
-        let next_ref = &next;
-        let mut worker_outs: Vec<Vec<(usize, (codec::ChunkOut, ShardMetrics))>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = worker_outs
-            .iter_mut()
-            .map(|mine| {
-                Box::new(move || loop {
-                    let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= chunks_ref.len() {
-                        return;
-                    }
-                    mine.push((i, chunks_ref[i].decode(i, salvage)));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        crate::serve::WorkerPool::shared().scope(jobs);
-        let mut slots: Vec<Option<(codec::ChunkOut, ShardMetrics)>> =
-            (0..chunks.len()).map(|_| None).collect();
-        for mine in worker_outs {
-            for (i, result) in mine {
-                slots[i] = Some(result);
-            }
-        }
-        slots
-    };
-
-    let merge_start = Instant::now();
-    let mut all_errors = scan_errors;
-    let mut outs: Vec<codec::ChunkOut> = Vec::with_capacity(chunks.len());
-    for (i, slot) in slots.iter_mut().enumerate() {
-        match slot.take() {
-            Some((mut out, m)) => {
-                metrics.shards.push(m);
-                all_errors.append(&mut out.errors);
-                summary.lines_dropped += out.units_dropped;
-                summary.bytes_skipped += out.bytes_skipped;
-                outs.push(out);
-            }
-            None => {
-                let chunk = &chunks[i];
-                let (first_unit, first_byte) = chunk.first_position();
-                all_errors.push(LogError {
-                    code: ErrorCode::WorkerLost,
-                    line: first_unit,
-                    byte: first_byte,
-                    chunk: Some(i),
-                    message: format!(
-                        "parse worker panicked; chunk {i} ({} units) lost",
-                        chunk.len()
-                    ),
-                });
-                if salvage {
-                    summary.lines_dropped += chunk.len() as u64;
-                    summary.bytes_skipped += chunk.byte_len();
-                }
-            }
-        }
-    }
-    // The smallest line/frame number wins, wherever the error was found —
-    // exactly what a sequential scan would report first.
-    all_errors.sort_by_key(|e| e.line);
-
-    if !salvage {
-        if let Some(e) = all_errors.into_iter().next() {
-            return Err(e);
-        }
-        if !saw_end {
-            return Err(LogError {
-                code: ErrorCode::MissingEndMarker,
-                line: next_position.0,
-                byte: next_position.1,
-                chunk: None,
-                message: "no `end` marker — log truncated?".into(),
-            });
-        }
-        for out in outs {
-            log.records.extend(out.records);
-            log.samples.extend(out.samples);
-            log.retains.extend(out.retains);
-        }
-    } else {
-        if !saw_end {
-            summary.synthesized_end = true;
-            all_errors.push(LogError {
-                code: ErrorCode::MissingEndMarker,
-                line: next_position.0,
-                byte: next_position.1,
-                chunk: None,
-                message: "no `end` marker — synthesizing exit time".into(),
-            });
-        }
-        // Collapse exact duplicates in input order, so the kept set — and
-        // therefore the whole analysis — is shard-invariant.
-        let mut seen_objects: HashSet<ObjectId> = HashSet::new();
-        let mut seen_samples: HashSet<(u64, u64, u64)> = HashSet::new();
-        for out in outs {
-            for r in out.records {
-                if seen_objects.insert(r.object) {
-                    log.records.push(r);
-                } else {
-                    summary.duplicates_dropped += 1;
-                }
-            }
-            for s in out.samples {
-                if seen_samples.insert((s.time, s.reachable_bytes, s.reachable_count)) {
-                    log.samples.push(s);
-                } else {
-                    summary.duplicates_dropped += 1;
-                }
-            }
-            // Retain frames are *not* deduplicated: unlike object records
-            // (identified by id) and deep-GC samples (identified by their
-            // census), a retain sample carries no identity — multiplicity
-            // is its weight. Ten identical elements sampled at one census
-            // are ten legitimate samples, and collapsing them would skew
-            // every per-path weight and break the on-line/off-line
-            // `heapdrag_retain_samples_total` reconciliation.
-            log.retains.extend(out.retains);
-        }
-        if summary.synthesized_end {
-            log.end_time = log
-                .records
-                .iter()
-                .map(|r| r.freed)
-                .chain(log.samples.iter().map(|s| s.time))
-                .chain(log.retains.iter().map(|r| r.time))
-                .max()
-                .unwrap_or(0);
-        }
-        for e in &all_errors {
-            *summary.errors_by_code.entry(e.code).or_insert(0) += 1;
-        }
-        if summary.duplicates_dropped > 0 {
-            *summary
-                .errors_by_code
-                .entry(ErrorCode::DuplicateRecord)
-                .or_insert(0) += summary.duplicates_dropped;
-        }
-        summary.first_errors = all_errors.iter().take(FIRST_ERRORS_CAP).cloned().collect();
-        if let Some(max) = ingest.max_errors {
-            let total = summary.total_errors();
-            if total > max {
-                return Err(LogError::new(
-                    ErrorCode::TooManyErrors,
-                    0,
-                    format!("salvage found {total} errors, exceeding the bound of {max}"),
-                ));
-            }
-        }
-    }
-
-    summary.records_kept = log.records.len() as u64;
-    summary.samples_kept = log.samples.len() as u64;
-    summary.retains_kept = log.retains.len() as u64;
-    metrics.merge_elapsed = merge_start.elapsed();
-    metrics.total_elapsed = start.elapsed();
-    Ok(Ingested {
-        log,
-        salvage: summary,
-        metrics,
-    })
-}
-
 #[cfg(test)]
-// These tests exercise the deprecated wrappers on purpose: they are the
-// wrappers' own regression suite, pinning the behaviour `Pipeline`
-// terminals must keep matching.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::codec::{BinarySink, TraceSink};
+    use crate::parallel::ParallelConfig;
+    use crate::{Pipeline, PipelineError};
+
+    /// The pipeline a `ParallelConfig` and `IngestConfig` resolve to.
+    fn pipeline(par: &ParallelConfig, ingest: &IngestConfig) -> Pipeline {
+        let p = Pipeline::options()
+            .shards(par.shards)
+            .chunk_records(par.chunk_records);
+        if ingest.is_salvage() {
+            p.salvage(ingest.max_errors)
+        } else {
+            p.strict()
+        }
+    }
+
+    fn ingest(
+        input: impl AsRef<[u8]>,
+        par: &ParallelConfig,
+        cfg: &IngestConfig,
+    ) -> Result<Ingested, LogError> {
+        pipeline(par, cfg).ingest_bytes(input).map_err(|e| match e {
+            PipelineError::Log(e) => e,
+            PipelineError::Io(e) => panic!("a byte slice cannot fail to read: {e}"),
+        })
+    }
+
+    /// Strict, sequential ingest of the whole input.
+    fn parse(input: impl AsRef<[u8]>) -> Result<ParsedLog, LogError> {
+        ingest(
+            input,
+            &ParallelConfig::sequential(),
+            &IngestConfig::strict(),
+        )
+        .map(|i| i.log)
+    }
 
     fn salvage_seq(input: impl AsRef<[u8]>) -> Ingested {
-        ingest_log(
+        ingest(
             input,
             &ParallelConfig::sequential(),
             &IngestConfig::salvage(),
@@ -938,7 +638,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_header() {
-        let e = parse_log("not-a-log\n").unwrap_err();
+        let e = parse("not-a-log\n").unwrap_err();
         assert_eq!(e.line, 1);
         assert_eq!(e.code, ErrorCode::BadHeader);
         assert_eq!(e.byte, 0);
@@ -946,22 +646,17 @@ mod tests {
 
     #[test]
     fn parse_rejects_empty_log() {
-        let e = parse_log("").unwrap_err();
+        let e = parse("").unwrap_err();
         assert_eq!(e.code, ErrorCode::EmptyLog);
         // Even salvage has nothing to keep from an empty file.
-        let e = ingest_log(
-            "",
-            &ParallelConfig::sequential(),
-            &IngestConfig::salvage(),
-        )
-        .unwrap_err();
+        let e = ingest("", &ParallelConfig::sequential(), &IngestConfig::salvage()).unwrap_err();
         assert_eq!(e.code, ErrorCode::EmptyLog);
     }
 
     #[test]
     fn parse_handcrafted_log() {
         let text = "heapdrag-log v1\nend 1000\nchain 0 Main.main@3 \"big array\"\nobj 1 2 816 16 900 320 0 0 0\nobj 2 2 24 32 1000 - 0 - 1\ngc 500 840 2\n";
-        let log = parse_log(text).unwrap();
+        let log = parse(text).unwrap();
         assert_eq!(log.end_time, 1000);
         assert_eq!(log.records.len(), 2);
         assert_eq!(log.samples.len(), 1);
@@ -975,12 +670,12 @@ mod tests {
     #[test]
     fn parse_reports_line_numbers() {
         let text = "heapdrag-log v1\nobj 1 bad\n";
-        let e = parse_log(text).unwrap_err();
+        let e = parse(text).unwrap_err();
         assert_eq!(e.line, 2);
         assert_eq!(e.code, ErrorCode::BadFieldValue);
         assert_eq!(e.byte, 16, "byte offset of the line start");
         let text = "heapdrag-log v1\nwhat 1\n";
-        let e = parse_log(text).unwrap_err();
+        let e = parse(text).unwrap_err();
         assert!(e.message.contains("what"));
         assert_eq!(e.code, ErrorCode::UnknownDirective);
     }
@@ -988,7 +683,7 @@ mod tests {
     #[test]
     fn strict_requires_the_end_marker() {
         let text = "heapdrag-log v1\nobj 1 2 816 16 900 320 0 0 0\n";
-        let e = parse_log(text).unwrap_err();
+        let e = parse(text).unwrap_err();
         assert_eq!(e.code, ErrorCode::MissingEndMarker);
         assert_eq!(e.line, 3, "reported just past the last line");
 
@@ -1002,7 +697,7 @@ mod tests {
     #[test]
     fn strict_rejects_a_torn_tail() {
         let text = "heapdrag-log v1\nobj 1 2 816 16 900 320 0 0 0\nend 90";
-        let e = parse_log(text).unwrap_err();
+        let e = parse(text).unwrap_err();
         assert_eq!(e.code, ErrorCode::TornTail);
         assert_eq!(e.line, 3);
 
@@ -1043,7 +738,7 @@ mod tests {
     #[test]
     fn salvage_collapses_duplicate_records_and_samples() {
         let text = "heapdrag-log v1\nobj 1 2 816 16 900 320 0 0 0\ngc 500 840 2\nobj 1 2 816 16 900 320 0 0 0\ngc 500 840 2\nend 1000\n";
-        let strict = parse_log(text).unwrap();
+        let strict = parse(text).unwrap();
         assert_eq!(strict.records.len(), 2, "strict does not dedup");
         let ing = salvage_seq(text);
         assert_eq!(ing.log.records.len(), 1);
@@ -1055,7 +750,7 @@ mod tests {
     #[test]
     fn salvage_respects_max_errors() {
         let text = "heapdrag-log v1\nbad 1\nbad 2\nbad 3\nend 10\n";
-        let ok = ingest_log(
+        let ok = ingest(
             text,
             &ParallelConfig::sequential(),
             &IngestConfig {
@@ -1065,7 +760,7 @@ mod tests {
         )
         .expect("within bound");
         assert_eq!(ok.salvage.total_errors(), 3);
-        let e = ingest_log(
+        let e = ingest(
             text,
             &ParallelConfig::sequential(),
             &IngestConfig {
@@ -1133,7 +828,7 @@ mod tests {
     /// The same synthetic log re-encoded as HDLOG v2 frames, via the
     /// parsed text log (so both encodings carry identical data).
     fn big_log_binary(records: usize) -> Vec<u8> {
-        let log = parse_log(&big_log(records)).unwrap();
+        let log = parse(big_log(records)).unwrap();
         let mut buf = Vec::new();
         let mut sink = BinarySink::new(&mut buf);
         sink.begin().unwrap();
@@ -1155,13 +850,15 @@ mod tests {
     #[test]
     fn sharded_parse_matches_sequential() {
         let text = big_log(500);
-        let sequential = parse_log(&text).unwrap();
+        let sequential = parse(&text).unwrap();
         for shards in [1, 2, 8] {
             let par = ParallelConfig {
                 shards,
                 chunk_records: 64,
             };
-            let (sharded, metrics) = parse_log_sharded(&text, &par).unwrap();
+            let (sharded, metrics) = ingest(&text, &par, &IngestConfig::strict())
+                .map(|i| (i.log, i.metrics))
+                .unwrap();
             assert_eq!(sharded, sequential, "shards = {shards}");
             assert_eq!(metrics.total_records(), 500);
             assert!(metrics.shards.len() > 1, "chunked into multiple units");
@@ -1185,7 +882,7 @@ mod tests {
                 shards,
                 chunk_records: 16,
             };
-            let e = parse_log_sharded(&text, &par).unwrap_err();
+            let e = ingest(&text, &par, &IngestConfig::strict()).unwrap_err();
             assert_eq!(e.line, 41, "shards = {shards}: {e}");
             assert_eq!(e.code, ErrorCode::BadFieldValue, "shards = {shards}");
         }
@@ -1200,7 +897,7 @@ mod tests {
         text = lines.join("\n"); // also tears the final line
         // Chunk indices in errors depend on `chunk_records` (the scan
         // decides chunking), so the baseline pins the same chunk size.
-        let baseline = ingest_log(
+        let baseline = ingest(
             &text,
             &ParallelConfig {
                 shards: 1,
@@ -1214,8 +911,7 @@ mod tests {
                 shards,
                 chunk_records: 16,
             };
-            let ing =
-                ingest_log(&text, &par, &IngestConfig::salvage()).expect("salvage succeeds");
+            let ing = ingest(&text, &par, &IngestConfig::salvage()).expect("salvage succeeds");
             assert_eq!(ing.log, baseline.log, "shards = {shards}");
             assert_eq!(ing.salvage, baseline.salvage, "shards = {shards}");
         }
@@ -1235,13 +931,13 @@ mod tests {
             binary.len(),
             text.len()
         );
-        let from_text = parse_log(&text).unwrap();
+        let from_text = parse(&text).unwrap();
         for shards in [1usize, 4, 7] {
             let par = ParallelConfig {
                 shards,
                 chunk_records: 32,
             };
-            let ing = ingest_log(&binary, &par, &IngestConfig::strict()).unwrap();
+            let ing = ingest(&binary, &par, &IngestConfig::strict()).unwrap();
             assert_eq!(ing.log, from_text, "shards = {shards}");
             assert_eq!(ing.salvage.format, LogFormat::Binary);
         }
@@ -1252,7 +948,7 @@ mod tests {
         let mut binary = big_log_binary(300);
         let cut = binary.len() * 2 / 3;
         binary.truncate(cut);
-        let baseline = ingest_log(
+        let baseline = ingest(
             &binary,
             &ParallelConfig {
                 shards: 1,
@@ -1271,8 +967,7 @@ mod tests {
                 shards,
                 chunk_records: 16,
             };
-            let ing =
-                ingest_log(&binary, &par, &IngestConfig::salvage()).expect("salvage succeeds");
+            let ing = ingest(&binary, &par, &IngestConfig::salvage()).expect("salvage succeeds");
             assert_eq!(ing.log, baseline.log, "shards = {shards}");
             assert_eq!(ing.salvage, baseline.salvage, "shards = {shards}");
         }
@@ -1287,7 +982,7 @@ mod tests {
         let mut corrupt = binary.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0x01;
-        let strict = ingest_log(
+        let strict = ingest(
             &corrupt,
             &ParallelConfig::sequential(),
             &IngestConfig::strict(),

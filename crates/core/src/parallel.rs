@@ -3,16 +3,17 @@
 //!
 //! The off-line phase (§2.2) has two data-parallel stages:
 //!
-//! 1. **Parse** ([`log::parse_log_sharded`](crate::log::parse_log_sharded))
-//!    — shared state (the header, chain table, and end marker) is parsed
-//!    once on the coordinating thread while record-bearing units are
+//! 1. **Parse** ([`Pipeline::ingest_reader`](crate::Pipeline::ingest_reader),
+//!    the engine in [`crate::stream`]) — shared state (the header, chain
+//!    table, and end marker) is parsed once on the coordinating thread
+//!    while record-bearing units are
 //!    batched into chunks of [`ParallelConfig::chunk_records`] units and
 //!    decoded on worker threads. Chunk boundaries follow the input's own
 //!    structure — line boundaries for the text format, *frame* boundaries
-//!    for HDLOG v2 binary logs (the scan hops length prefixes; workers
+//!    for HDLOG v2 binary logs (the scanner hops length prefixes; workers
 //!    never search the input for delimiters) — so chunking, and therefore
 //!    every result, is independent of the worker count.
-//! 2. **Aggregate** ([`DragAnalyzer::analyze_sharded`](crate::analyzer::DragAnalyzer::analyze_sharded))
+//! 2. **Aggregate** ([`Pipeline::analyze_records`](crate::Pipeline::analyze_records))
 //!    — the record slice is split into [`ParallelConfig::shards`]
 //!    contiguous shards, each accumulated into partial per-site groups on
 //!    its own worker, then merged deterministically.

@@ -1,19 +1,15 @@
 //! The unified ingestion facade: one builder, every knob, every input
 //! shape.
 //!
-//! Historically the crate grew seven entry points — `parse_log`,
-//! `parse_log_sharded`, `ingest_log`, `write_log`, `write_log_binary`,
-//! `write_log_to`, and `DragAnalyzer::analyze_sharded` — each hard-wiring
-//! one combination of format, shard count, and fault policy. [`Pipeline`]
-//! replaces them all (the free functions survive as thin deprecated
-//! wrappers):
+//! [`Pipeline`] carries the format, shard count, and fault policy; its
+//! terminals pick the input shape and the result:
 //!
 //! ```
 //! use heapdrag_core::{Pipeline, LogFormat};
 //!
 //! # fn main() -> Result<(), heapdrag_core::PipelineError> {
 //! let log = b"heapdrag-log v1\nend 0\n";
-//! // In-memory, strict, sequential:
+//! // A whole buffer, strict, sequential:
 //! let ingested = Pipeline::options().ingest_bytes(log)?;
 //! assert_eq!(ingested.log.end_time, 0);
 //!
@@ -29,11 +25,14 @@
 //! # }
 //! ```
 //!
-//! The terminals decide the execution strategy; the options are shared:
+//! Every ingest and analyze terminal runs the one streaming engine in
+//! [`crate::stream`], so they all decide scanning, merging, and salvage
+//! the same way; they differ only in input shape and in what the merge
+//! folds records into:
 //!
 //! | terminal | input | memory | result |
 //! |----------|-------|--------|--------|
-//! | [`ingest_bytes`](Pipeline::ingest_bytes) | `impl AsRef<[u8]>` | O(input) | [`Ingested`] |
+//! | [`ingest_bytes`](Pipeline::ingest_bytes) | `impl AsRef<[u8]>` | O(shards × chunk) + records | [`Ingested`] |
 //! | [`ingest_reader`](Pipeline::ingest_reader) | `impl io::Read` | O(shards × chunk) + records | ([`Ingested`], [`StreamStats`]) |
 //! | [`analyze_reader`](Pipeline::analyze_reader) | `impl io::Read` | O(shards × chunk + groups) | [`StreamReport`] |
 //! | [`analyze_records`](Pipeline::analyze_records) | `&[ObjectRecord]` | O(groups) | ([`DragReport`], [`ParallelMetrics`]) |
@@ -59,8 +58,7 @@ use crate::analyzer::{accumulate_shard, DragAnalyzer, DragReport, ShardAccum};
 use crate::codec::LogFormat;
 use crate::engine::DragEngine;
 use crate::log::{
-    ingest_bytes_impl, write_run_to, IngestConfig, IngestMode, Ingested, LogError, ParsedLog,
-    SalvageSummary,
+    write_run_to, IngestConfig, IngestMode, Ingested, LogError, ParsedLog, SalvageSummary,
 };
 use crate::parallel::{ParallelConfig, ParallelMetrics, ShardMetrics};
 use crate::profiler::ProfileRun;
@@ -318,29 +316,41 @@ impl Pipeline {
         self.ingest
     }
 
-    /// Ingests an in-memory log (text or binary, autodetected). The
-    /// historical `parse_log`/`ingest_log` path: whole input in memory,
-    /// sharded decode, deterministic merge.
+    /// Ingests a log held in memory (text or binary, autodetected):
+    /// [`ingest_reader`](Self::ingest_reader) over the byte slice, without
+    /// the [`StreamStats`].
     ///
     /// # Errors
     ///
-    /// Strict: the first malformed unit. Salvage: `E001`/`E008` only.
-    /// Never [`PipelineError::Io`].
+    /// As [`ingest_reader`](Self::ingest_reader), except that reading a
+    /// slice never fails, so never [`PipelineError::Io`].
     pub fn ingest_bytes(&self, input: impl AsRef<[u8]>) -> Result<Ingested, PipelineError> {
-        ingest_bytes_impl(input.as_ref(), &self.par, &self.ingest).map_err(PipelineError::from)
+        self.ingest_reader(input.as_ref())
+            .map(|(ingested, _)| ingested)
     }
 
     /// Ingests a log from any reader — a file, stdin, a socket — in
-    /// bounded memory, returning the same [`Ingested`] as
-    /// [`ingest_bytes`](Self::ingest_bytes) on the same bytes plus the
-    /// [`StreamStats`] of the run. Peak *transit* memory is
+    /// bounded memory, returning the decoded log, its [`SalvageSummary`],
+    /// and the [`StreamStats`] of the run. Peak *transit* memory is
     /// O(shards × chunk); the decoded records themselves are retained
     /// (use [`analyze_reader`](Self::analyze_reader) to avoid that too).
     ///
+    /// The input format is detected by magic bytes. Under
+    /// [`strict`](Self::strict) the first malformed line or frame fails
+    /// the ingest; under [`salvage`](Self::salvage) undecodable and torn
+    /// units are dropped, exact duplicate records and samples collapse, a
+    /// missing end marker is repaired by synthesizing the exit time from
+    /// the latest observed event, and everything dropped or repaired is
+    /// counted in the summary — [`IngestConfig`] spells out each rule. The
+    /// result is identical for every shard count and read geometry.
+    ///
     /// # Errors
     ///
-    /// [`PipelineError::Io`] if the reader fails; otherwise as
-    /// [`ingest_bytes`](Self::ingest_bytes).
+    /// [`PipelineError::Io`] if the reader fails. Otherwise a
+    /// [`PipelineError::Log`]: under strict, the malformed unit with the
+    /// smallest line/frame number (or `E006` for a missing end marker);
+    /// under salvage, only `E001` (empty input) or `E008` (more errors
+    /// than `max_errors`).
     pub fn ingest_reader<R: io::Read>(
         &self,
         reader: R,
@@ -478,7 +488,9 @@ impl Pipeline {
     }
 
     /// Analyzes an already-materialised record slice with the builder's
-    /// shard count — the historical `DragAnalyzer::analyze_sharded`.
+    /// shard count: contiguous shards accumulate as jobs on the shared
+    /// [`WorkerPool`], merge deterministically, and classify after the
+    /// merge, so the report is byte-identical for every shard count.
     pub fn analyze_records<F>(
         &self,
         records: &[ObjectRecord],
@@ -491,7 +503,7 @@ impl Pipeline {
     }
 
     /// Sequential analysis of a record slice (resolvers need not be
-    /// `Sync`) — the historical `DragAnalyzer::analyze`.
+    /// `Sync`), the same as [`DragAnalyzer::analyze`].
     pub fn analyze_records_seq<F>(&self, records: &[ObjectRecord], innermost: F) -> DragReport
     where
         F: Fn(ChainId) -> Option<SiteId>,
@@ -501,12 +513,11 @@ impl Pipeline {
     }
 
     /// Streams a profiling run to `writer` in the builder's
-    /// [`format`](Self::format), returning the bytes written — the
-    /// historical `write_log_to`/`write_log`/`write_log_binary`.
+    /// [`format`](Self::format), returning the bytes written.
     ///
     /// # Errors
     ///
-    /// Propagates writer I/O errors.
+    /// As [`ProfileRun::write_log_to`].
     pub fn write_to<W: io::Write>(
         &self,
         run: &ProfileRun,
@@ -521,7 +532,6 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::codec::{BinarySink, TextSink, TraceSink};
-    use crate::log::ingest_bytes_impl;
     use crate::record::GcSample;
     use crate::report::ReportSections;
     use heapdrag_vm::ids::{ClassId, ObjectId};
@@ -566,19 +576,6 @@ mod tests {
             LogFormat::Binary => write(&mut BinarySink::new(&mut buf)),
         }
         buf
-    }
-
-    #[test]
-    fn ingest_bytes_matches_the_legacy_engine() {
-        for format in [LogFormat::Text, LogFormat::Binary] {
-            let bytes = sample_log(format, true);
-            let legacy =
-                ingest_bytes_impl(&bytes, &ParallelConfig::default(), &IngestConfig::strict())
-                    .unwrap();
-            let new = Pipeline::options().ingest_bytes(&bytes).unwrap();
-            assert_eq!(new.log, legacy.log);
-            assert_eq!(new.salvage, legacy.salvage);
-        }
     }
 
     #[test]

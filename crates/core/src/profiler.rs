@@ -272,7 +272,8 @@ impl ProfileRun {
     ///
     /// # Errors
     ///
-    /// Propagates writer I/O errors.
+    /// Propagates writer I/O errors, and the sinks' `InvalidInput` for a
+    /// retain sample with an empty path ([`crate::codec::TraceSink::retain`]).
     pub fn write_log_to<W: std::io::Write>(
         &self,
         program: &Program,

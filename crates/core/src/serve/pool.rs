@@ -1,8 +1,8 @@
 //! The shared, reusable decode worker pool.
 //!
 //! Before the serve mode existed, every ingest spawned its own worker
-//! threads (`std::thread::scope` in the streaming engine, the in-memory
-//! decoder, and the sharded analyzer), which is fine for one trace per
+//! threads (`std::thread::scope` in the decoder and the sharded
+//! analyzer), which is fine for one trace per
 //! process and catastrophic for a session manager: 1000 concurrent
 //! sessions at `--shards 8` would mean 8000 short-lived threads. The
 //! [`WorkerPool`] replaces all of those spawn sites with one fixed set of
@@ -14,8 +14,8 @@
 //! * [`execute`](WorkerPool::execute) — fire-and-forget `'static` jobs
 //!   (the streaming engine's per-chunk decodes, which own their data).
 //! * [`scope`](WorkerPool::scope) — a batch of *borrowing* jobs run to
-//!   completion before the call returns (the in-memory decoder and the
-//!   sharded analyzer, whose work units borrow the caller's buffers).
+//!   completion before the call returns (the sharded analyzer, whose
+//!   work units borrow the caller's record slice).
 //!
 //! A panicking job is confined to itself: the worker catches the unwind,
 //! counts it, and moves on — one session's poisoned chunk can never take
@@ -189,9 +189,8 @@ impl WorkerPool {
 
     /// Runs a batch of borrowing jobs on the pool and blocks until every
     /// one has finished (or been unwound by a panic). This is what lets
-    /// the in-memory decoder and the sharded analyzer keep handing
-    /// workers *references* into the caller's buffers without spawning
-    /// threads of their own.
+    /// the sharded analyzer hand workers *references* into the caller's
+    /// record slice without spawning threads of their own.
     ///
     /// Must not be called from a pool worker (a job that waits on other
     /// jobs of the same pool can deadlock a single-worker pool); the

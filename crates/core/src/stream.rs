@@ -1,35 +1,37 @@
-//! The streaming, bounded-memory ingestion engine behind
-//! [`Pipeline`](crate::pipeline::Pipeline).
+//! The ingestion engine behind every [`Pipeline`](crate::pipeline::Pipeline)
+//! ingest and analyze terminal.
 //!
-//! The in-memory engine ([`crate::ingest_log`]) needs the whole trace in
-//! one buffer. This module reads any [`std::io::Read`] in fixed blocks
-//! instead and keeps peak memory at O(shards × chunk):
+//! It reads any [`std::io::Read`] — a file, a socket, or a byte slice
+//! already in memory — in fixed blocks and keeps peak transit memory at
+//! O(shards × chunk):
 //!
 //! 1. The **coordinator** (the calling thread) reads blocks and feeds an
-//!    incremental scanner that cuts the stream at line/frame boundaries —
-//!    the same boundaries, the same error taxonomy, and the same chunking
-//!    as the in-memory scan — emitting self-contained owned chunks.
+//!    incremental scanner that cuts the stream at line/frame boundaries,
+//!    parses the header, chain table, and end marker in place, and emits
+//!    self-contained owned chunks of record-bearing units. Chunk
+//!    boundaries depend only on the input and
+//!    [`ParallelConfig::chunk_records`], never on the read geometry.
 //! 2. Each chunk is submitted as an independent decode job to the shared
-//!    [`WorkerPool`] — the same per-chunk
-//!    decoders the in-memory path uses, but on threads that outlive the
-//!    call and are shared by every concurrent ingest in the process. The
-//!    coordinator caps chunks in flight (dispatched but not yet merged)
-//!    at `2 × shards`, blocking on results when the budget is full, so a
-//!    slow consumer exerts backpressure on the reader instead of growing
-//!    a queue. Stalls and the high-water mark of buffered bytes are
-//!    reported in [`StreamStats`].
+//!    [`WorkerPool`], whose threads outlive the call and are shared by
+//!    every concurrent ingest in the process. The coordinator caps chunks
+//!    in flight (dispatched but not yet merged) at `2 × shards`, blocking
+//!    on results when the budget is full, so a slow consumer exerts
+//!    backpressure on the reader instead of growing a queue. Stalls and
+//!    the high-water mark of buffered bytes are reported in
+//!    [`StreamStats`].
 //! 3. The coordinator **merges** decode results strictly in chunk-index
 //!    order (reordering out-of-order completions in a window the
 //!    in-flight cap keeps bounded) and folds records into the caller's
-//!    fold — either a record collector (streaming ingest) or the
-//!    analyzer's partial aggregates (streaming analyze, which never
-//!    materialises the record vector at all).
+//!    fold — either a record collector (ingest) or the analyzer's partial
+//!    aggregates (streaming analyze, which never materialises the record
+//!    vector at all). A decode job that panics loses only its chunk
+//!    (`E010`).
 //!
 //! Because chunk boundaries are input-determined, the merge runs in input
 //! order, and salvage's duplicate collapse happens at that ordered merge,
-//! the result is byte-identical to the in-memory engine for every shard
-//! count, pool size, both formats, strict and salvage —
-//! `tests/streaming_parity.rs` holds the two paths against each other.
+//! the result is byte-identical for every shard count, pool size, and
+//! read geometry, in both formats, strict and salvage —
+//! `tests/streaming_parity.rs` holds that across every workload.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::Read;
@@ -137,8 +139,7 @@ pub(crate) struct StreamedLog<F> {
 }
 
 /// A decode result; `out` is `None` when the decode job panicked on this
-/// chunk (degraded to a per-chunk `E010` by the merge, exactly like the
-/// in-memory engine's lost slots).
+/// chunk (degraded to a per-chunk `E010` by the merge).
 struct WorkDone {
     index: usize,
     units: usize,
@@ -237,9 +238,14 @@ impl<F: StreamFold> Merger<F> {
         }
         for r in out.retains {
             if self.salvage {
-                // No duplicate collapsing for retains: a retain sample has
-                // no identity and its multiplicity is its weight — see the
-                // batch merge in `log.rs` for the full argument.
+                // Retain samples are *not* deduplicated: unlike object
+                // records (identified by id) and deep-GC samples
+                // (identified by their census), a retain sample carries no
+                // identity — multiplicity is its weight. Ten identical
+                // elements sampled at one census are ten legitimate
+                // samples, and collapsing them would skew every per-path
+                // weight and break the on-line/off-line
+                // `heapdrag_retain_samples_total` reconciliation.
                 self.max_event = Some(self.max_event.map_or(r.time, |m| m.max(r.time)));
             }
             self.retains_kept += 1;
@@ -430,11 +436,11 @@ fn read_block<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<usize, Pipeline
     }
 }
 
-/// The streaming engine: reads `reader` once in bounded blocks, decodes
+/// The ingestion engine: reads `reader` once in bounded blocks, decodes
 /// chunks as jobs on `pool`, and folds kept records/samples into `fold`
-/// in input order on the calling thread. Semantics (errors, salvage
-/// summary, kept set, end-time synthesis) are identical to
-/// [`crate::ingest_log`] on the same bytes, for any pool size.
+/// in input order on the calling thread. The strict/salvage semantics
+/// (errors, salvage summary, kept set, end-time synthesis) are those
+/// documented on [`IngestConfig`], for any pool size.
 pub(crate) fn run<R: Read, F: StreamFold>(
     mut reader: R,
     par: &ParallelConfig,
@@ -506,8 +512,9 @@ pub(crate) fn run<R: Read, F: StreamFold>(
     stats.bytes_read = bytes_read;
     let merger = engine.merger;
 
-    // Final assembly — a line-for-line mirror of the in-memory engine's
-    // merge, so the two paths cannot drift.
+    // Final assembly: the first error wins under strict; salvage tallies
+    // the error histogram, synthesizes a missing end, and checks the
+    // error budget.
     let merge_start = Instant::now();
     let StreamScanState {
         chain_names,
@@ -603,8 +610,8 @@ pub(crate) fn run<R: Read, F: StreamFold>(
     })
 }
 
-/// The streaming-ingest fold: collects records and samples, yielding the
-/// same [`crate::ParsedLog`] contents as the in-memory engine.
+/// The ingest fold: collects records and samples, in input order, into
+/// the contents of a [`crate::ParsedLog`].
 #[derive(Debug, Default)]
 pub(crate) struct CollectFold {
     pub(crate) records: Vec<ObjectRecord>,
@@ -630,7 +637,7 @@ impl StreamFold for CollectFold {
 mod tests {
     use super::*;
     use crate::codec::{BinarySink, TextSink, TraceSink};
-    use crate::log::{ingest_bytes_impl, IngestConfig};
+    use crate::log::IngestConfig;
     use heapdrag_vm::ids::{ChainId, ClassId, ObjectId};
 
     /// A reader that hands out at most `max` bytes per `read()` call —
@@ -706,15 +713,28 @@ mod tests {
         buf
     }
 
+    /// Holds trickle reads of 1, 7 and 4096 bytes at 1, 4 and 7 shards
+    /// against one whole-slice read at `shards = 1`, for every chunk size:
+    /// the read geometry and the shard count must never change the result.
     fn assert_stream_matches_ingest(bytes: &[u8], ingest: IngestConfig) {
-        for shards in [1usize, 3, 5] {
-            for chunk_records in [1usize, 7, 8192] {
+        for chunk_records in [1usize, 7, 8192] {
+            let whole = ParallelConfig {
+                chunk_records,
+                ..ParallelConfig::sequential()
+            };
+            let baseline = run(
+                bytes,
+                &whole,
+                &ingest,
+                CollectFold::default(),
+                WorkerPool::shared(),
+            );
+            for shards in [1usize, 4, 7] {
                 let par = ParallelConfig {
                     shards,
                     chunk_records,
                 };
-                let baseline = ingest_bytes_impl(bytes, &par, &ingest);
-                for max_read in [1usize, 13, 4096, READ_BLOCK + 1] {
+                for max_read in [1usize, 7, 4096] {
                     let reader = TrickleReader {
                         data: bytes,
                         pos: 0,
@@ -726,18 +746,23 @@ mod tests {
                         "shards={shards} chunk_records={chunk_records} max_read={max_read}"
                     );
                     match (&baseline, streamed) {
-                        (Ok(ing), Ok(out)) => {
-                            assert_eq!(out.fold.records, ing.log.records, "{ctx}");
-                            assert_eq!(out.fold.samples, ing.log.samples, "{ctx}");
-                            assert_eq!(out.end_time, ing.log.end_time, "{ctx}");
-                            assert_eq!(out.chain_names, ing.log.chain_names, "{ctx}");
-                            assert_eq!(out.salvage, ing.salvage, "{ctx}");
+                        (Ok(want), Ok(out)) => {
+                            assert_eq!(out.fold.records, want.fold.records, "{ctx}");
+                            assert_eq!(out.fold.samples, want.fold.samples, "{ctx}");
+                            assert_eq!(out.fold.retains, want.fold.retains, "{ctx}");
+                            assert_eq!(out.end_time, want.end_time, "{ctx}");
+                            assert_eq!(out.chain_names, want.chain_names, "{ctx}");
+                            assert_eq!(out.salvage, want.salvage, "{ctx}");
                             assert_eq!(out.stats.bytes_read, bytes.len() as u64, "{ctx}");
                         }
-                        (Err(be), Err(PipelineError::Log(se))) => {
+                        (Err(PipelineError::Log(be)), Err(PipelineError::Log(se))) => {
                             assert_eq!(&se, be, "{ctx}");
                         }
-                        (b, s) => panic!("{ctx}: baseline {b:?} vs streamed ok={}", s.is_ok()),
+                        (b, s) => panic!(
+                            "{ctx}: whole read ok={} vs trickle read ok={}",
+                            b.is_ok(),
+                            s.is_ok()
+                        ),
                     }
                 }
             }
@@ -745,7 +770,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_in_memory_on_clean_logs() {
+    fn trickle_reads_match_a_whole_read_on_clean_logs() {
         let (records, samples) = sample_records(50);
         for format in [LogFormat::Text, LogFormat::Binary] {
             let bytes = encode(format, &records, &samples, true);
@@ -755,7 +780,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_in_memory_on_torn_logs() {
+    fn trickle_reads_match_a_whole_read_on_torn_logs() {
         let (records, samples) = sample_records(30);
         for format in [LogFormat::Text, LogFormat::Binary] {
             let whole = encode(format, &records, &samples, false);
@@ -768,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_in_memory_on_duplicates_and_garbage() {
+    fn trickle_reads_match_a_whole_read_on_duplicates_and_garbage() {
         let (records, samples) = sample_records(12);
         // Text: duplicate a record line, interleave garbage directives.
         let text = String::from_utf8(encode(LogFormat::Text, &records, &samples, true)).unwrap();
@@ -780,7 +805,7 @@ mod tests {
         let mutated = lines.join("\n") + "\n";
         assert_stream_matches_ingest(mutated.as_bytes(), IngestConfig::salvage());
         assert_stream_matches_ingest(mutated.as_bytes(), IngestConfig::strict());
-        // Salvage error budget: identical E008 on both paths.
+        // Salvage error budget: the same E008 for every read geometry.
         let bounded = IngestConfig {
             mode: crate::log::IngestMode::Salvage,
             max_errors: Some(1),

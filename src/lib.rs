@@ -24,7 +24,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use heapdrag::core::{profile, DragAnalyzer, ProgramNamer, VmConfig};
+//! use heapdrag::core::{profile, DragAnalyzer, ProgramNamer, ReportSections, VmConfig};
 //! use heapdrag::vm::ProgramBuilder;
 //!
 //! # fn main() -> Result<(), heapdrag::vm::VmError> {
@@ -50,11 +50,8 @@
 //! // Phase 1: profile. Phase 2: analyze and report.
 //! let run = profile(&program, &[], VmConfig::profiling())?;
 //! let report = DragAnalyzer::new().analyze(&run.records, |c| run.sites.innermost(c));
-//! let text = heapdrag::core::render(
-//!     &report,
-//!     &ProgramNamer { program: &program, sites: &run.sites },
-//!     5,
-//! );
+//! let namer = ProgramNamer { program: &program, sites: &run.sites };
+//! let text = ReportSections::standard(&report, &namer).top(5).render();
 //! assert!(text.contains("big buffer"));
 //! # Ok(())
 //! # }
