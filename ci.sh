@@ -5,7 +5,10 @@
 # runs without registry or network access:
 #
 #   1. release build of the whole workspace
-#   2. full test suite (unit + integration + testkit property tests)
+#   2. full test suite (unit + integration + testkit property tests),
+#      including tests/experiments.rs, which checks every pinned table of
+#      EXPERIMENTS.md against its renderer; `HEAPDRAG_BLESS=1 ./ci.sh`
+#      rewrites those blocks (and the other goldens) instead of failing
 #   3. clippy with warnings denied
 #   4. rustdoc with warnings denied (every public item stays documented)
 #   5. a smoke run of the two-phase tool, sequential and sharded, checking

@@ -7,9 +7,12 @@
 //!   shard counts 1/4/7 and pool sizes 1/4;
 //! * rejected rewrites are **reported, not swallowed**, and never reach
 //!   disk (the `rejected-by-verify` leg, driven by an injected verifier);
-//! * the full nine-workload fleet reduces drag on at least three
-//!   workloads with every rewrite verified or rejected — the paper's
-//!   loop, closed mechanically.
+//! * the full fleet, nine workloads × both inputs, reduces drag on at
+//!   least three jobs with every rewrite verified or rejected — the
+//!   paper's loop, closed mechanically — and its scoreboard is the fleet
+//!   table pinned in EXPERIMENTS.md (see `tests/pinned/mod.rs`).
+
+mod pinned;
 
 use heapdrag::fleet::{optimize_fleet, FleetOptions, InputSelection, Scoreboard};
 use heapdrag::transform::{Equivalence, RewriteOutcome};
@@ -208,8 +211,8 @@ fn path_anchoring_places_assign_null_where_liveness_cannot() {
 
 #[test]
 fn full_fleet_reduces_drag_with_every_rewrite_verified() {
-    let board = fleet(&[], 4, 4, InputSelection::Default);
-    assert_eq!(board.jobs.len(), 9, "all nine workloads");
+    let board = fleet(&[], 4, 4, InputSelection::Both);
+    assert_eq!(board.jobs.len(), 18, "all nine workloads on both inputs");
     assert!(
         board.jobs.iter().all(|j| j.error.is_none()),
         "jobs failed:\n{}",
@@ -255,7 +258,7 @@ fn full_fleet_reduces_drag_with_every_rewrite_verified() {
     let registry = heapdrag::obs::Registry::new();
     board.publish_metrics(&registry);
     let snapshot = registry.render_prometheus();
-    assert!(snapshot.contains("heapdrag_optimize_jobs_total 9"), "{snapshot}");
+    assert!(snapshot.contains("heapdrag_optimize_jobs_total 18"), "{snapshot}");
     let applied: usize = board.jobs.iter().map(|j| j.applied.len()).sum();
     assert!(
         snapshot.contains(&format!(
@@ -263,4 +266,6 @@ fn full_fleet_reduces_drag_with_every_rewrite_verified() {
         )),
         "{snapshot}"
     );
+
+    pinned::check(&[("fleet", board.render_text())]);
 }
