@@ -10,56 +10,57 @@
 #      EXPERIMENTS.md against its renderer; `HEAPDRAG_BLESS=1 ./ci.sh`
 #      rewrites those blocks (and the other goldens) instead of failing
 #   3. clippy with warnings denied
-#   4. rustdoc with warnings denied (every public item stays documented)
-#   5. a smoke run of the two-phase tool, sequential and sharded, checking
+#   4. rustfmt check of crates/vm (the first crate kept rustfmt-clean)
+#   5. rustdoc with warnings denied (every public item stays documented)
+#   6. a smoke run of the two-phase tool, sequential and sharded, checking
 #      that the sharded report is byte-identical to the sequential one
-#   6. a metrics smoke: both phases write --metrics-out snapshots and the
+#   7. a metrics smoke: both phases write --metrics-out snapshots and the
 #      jq-free metrics_check example verifies they reconcile exactly
-#   7. a cross-format smoke: the same workload profiled to a text and to a
+#   8. a cross-format smoke: the same workload profiled to a text and to a
 #      binary (HDLOG v2) log must yield byte-identical reports, with the
 #      read side autodetecting the format, at every shard count
-#   8. a streaming smoke: a synthesized ~12 MB trace piped through stdin
+#   9. a streaming smoke: a synthesized ~12 MB trace piped through stdin
 #      (`analyze -`) must render byte-identical to the file-path report,
 #      and the binary smoke log must autodetect through a pipe too
-#   9. a salvage smoke: generated logs of both formats truncated at three
+#  10. a salvage smoke: generated logs of both formats truncated at three
 #      offsets must fail strict parsing with a stable E0xx code, succeed
 #      under --salvage, and render footers byte-identical to the
 #      committed golden (tests/golden/salvage_smoke.txt)
-#  10. a serve smoke: three traces (mixed formats) spooled through the
+#  11. a serve smoke: three traces (mixed formats) spooled through the
 #      multi-session service must produce a fleet report byte-identical
 #      to `fleet-report` over the same logs submitted in a different
 #      order, with the heapdrag_serve_* accounting reconciled in the
 #      metrics snapshot
-#  11. a differential smoke: one workload profiled under both interpreter
+#  12. a differential smoke: one workload profiled under both interpreter
 #      dispatch loops (--interpreter fast|reference) must write
 #      byte-identical logs in both formats and byte-identical reports,
 #      and the seeded random-program property suite must pass with a
 #      pinned seed (so CI failures are replayable verbatim)
-#  12. an optimize-fleet smoke: two workloads through the closed
+#  13. an optimize-fleet smoke: two workloads through the closed
 #      profile -> rank -> rewrite -> verify -> re-profile loop; the text
 #      scoreboard must match the committed golden byte for byte and stay
 #      byte-identical when the pool size and shard count change
-#  13. a live-mode smoke: `live` on the smoke program must emit
+#  14. a live-mode smoke: `live` on the smoke program must emit
 #      intermediate snapshots, report zero ring drops, match the
 #      post-mortem `report` output byte-for-byte (final-report prefix),
 #      be deterministic across two runs, and `profile --live-window
 #      unbounded` must write a log byte-identical to the file-logging
 #      profiler's
-#  14. a retain smoke: `--retain-sample 0` must write a log byte-identical
+#  15. a retain smoke: `--retain-sample 0` must write a log byte-identical
 #      to a plain profile; with sampling on, the log carries retain
 #      lines, the report grows the retaining-paths section (pinned to
 #      tests/golden/retain_smoke.txt), stays byte-identical across
 #      shard counts and two runs, and optimize-fleet places at least
 #      one path-anchored assign-null on the analyzer workload
-#  15. a markdown link check: every relative link in
+#  16. a markdown link check: every relative link in
 #      README/DESIGN/OPTIMIZER/EXPERIMENTS must point at a file that
 #      exists — and every #anchor fragment at a real heading slug in
 #      its target document — so doc cross-references can't rot
-#  16. a benchmark input check: `perfbench/run.py --validate` runs both
+#  17. a benchmark input check: `perfbench/run.py --validate` runs both
 #      ends of every benchmark input range, plain and profiled, so a VM
 #      change that breaks a benchmark input fails here rather than in
 #      the benchmark
-#  17. a determinism witness: a 1-second `--trace 0` benchmark run of
+#  18. a determinism witness: a 1-second `--trace 0` benchmark run of
 #      each workload at a fixed seed (profile-churn 201, profile-retained
 #      211, report-large 214) must fail no operation, and its witness
 #      counters (steps, dispatch tallies, traced objects, deep GCs,
@@ -80,6 +81,9 @@ cargo test -q --workspace
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustfmt (crates/vm) =="
+cargo fmt --check -p heapdrag-vm
 
 echo "== rustdoc (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -203,7 +203,9 @@ impl<'a> Assembler<'a> {
             let class_name = b.program().classes[class_id.index()].name.clone();
             let mid = methods
                 .iter()
-                .position(|m| m.class.as_deref() == Some(class_name.as_str()) && m.name == method_name)
+                .position(|m| {
+                    m.class.as_deref() == Some(class_name.as_str()) && m.name == method_name
+                })
                 .map(|i| ids[i])
                 .ok_or_else(|| {
                     err(
@@ -420,19 +422,23 @@ impl<'a> Assembler<'a> {
             Slot(u16),
             Named(ClassId, String),
         }
-        let parse_field = |b: &ProgramBuilder, spec: &str, line: usize| -> Result<FieldRef, AsmError> {
-            if let Ok(n) = spec.parse::<u16>() {
-                return Ok(FieldRef::Slot(n));
-            }
-            let (class, field) = spec
-                .rsplit_once('.')
-                .ok_or_else(|| err(line, format!("expected `Class.field` or slot, got `{spec}`")))?;
-            let cid = b
-                .program()
-                .class_by_name(class)
-                .ok_or_else(|| err(line, format!("unknown class `{class}`")))?;
-            Ok(FieldRef::Named(cid, field.to_string()))
-        };
+        let parse_field =
+            |b: &ProgramBuilder, spec: &str, line: usize| -> Result<FieldRef, AsmError> {
+                if let Ok(n) = spec.parse::<u16>() {
+                    return Ok(FieldRef::Slot(n));
+                }
+                let (class, field) = spec.rsplit_once('.').ok_or_else(|| {
+                    err(
+                        line,
+                        format!("expected `Class.field` or slot, got `{spec}`"),
+                    )
+                })?;
+                let cid = b
+                    .program()
+                    .class_by_name(class)
+                    .ok_or_else(|| err(line, format!("unknown class `{class}`")))?;
+                Ok(FieldRef::Named(cid, field.to_string()))
+            };
 
         let mut m = b.begin_body(id);
         for line in &decl.body {
@@ -493,11 +499,15 @@ impl<'a> Assembler<'a> {
                     m.swap();
                 }
                 "load" => {
-                    let v: u16 = need(operand, op, n)?.parse().map_err(|_| err(n, "bad local"))?;
+                    let v: u16 = need(operand, op, n)?
+                        .parse()
+                        .map_err(|_| err(n, "bad local"))?;
                     m.load(v);
                 }
                 "store" => {
-                    let v: u16 = need(operand, op, n)?.parse().map_err(|_| err(n, "bad local"))?;
+                    let v: u16 = need(operand, op, n)?
+                        .parse()
+                        .map_err(|_| err(n, "bad local"))?;
                     m.store(v);
                 }
                 "add" => {
@@ -765,8 +775,8 @@ entry main
 
     #[test]
     fn errors_carry_line_numbers() {
-        let e = assemble("method main static params=1 {\n bogus\n ret\n}\nentry main\n")
-            .unwrap_err();
+        let e =
+            assemble("method main static params=1 {\n bogus\n ret\n}\nentry main\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("bogus"));
         let e = assemble("entry nowhere\n").unwrap_err();

@@ -42,7 +42,9 @@ pub fn insert_at(method: &mut Method, at: u32, insns: &[Insn]) {
         .into_iter()
         .map(|(pc, l)| (if pc >= at { pc + k } else { pc }, l))
         .collect();
-    method.code.splice(at as usize..at as usize, insns.iter().copied());
+    method
+        .code
+        .splice(at as usize..at as usize, insns.iter().copied());
     // Inserted jumps carry absolute targets computed against the *new*
     // layout by the caller; nothing further to fix here.
 }

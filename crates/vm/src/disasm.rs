@@ -71,7 +71,11 @@ pub fn disassemble_method(program: &Program, id: MethodId) -> String {
         .code
         .iter()
         .filter_map(|i| i.jump_target())
-        .chain(m.handlers.iter().flat_map(|h| [h.start_pc, h.end_pc, h.handler_pc]))
+        .chain(
+            m.handlers
+                .iter()
+                .flat_map(|h| [h.start_pc, h.end_pc, h.handler_pc]),
+        )
         .collect();
     targets.sort_unstable();
     targets.dedup();

@@ -35,7 +35,7 @@ pub struct CollectOutcome {
     /// their finalizer runs).
     pub pending_finalizers: Vec<Handle>,
     /// Retaining-path samples drawn during the mark (empty unless the
-    /// collection ran through [`collect_full_traced`]).
+    /// collection ran with a sampler; see [`collect_full`]).
     pub retain_samples: Vec<RetainSample>,
     /// Wall-clock spent in the collection (pause-time accounting).
     pub elapsed: Duration,
@@ -68,34 +68,14 @@ fn trace_children(object: &Object, worklist: &mut Vec<Handle>) {
 /// objects and objects queued for finalization are implicit roots.
 /// `on_free` is invoked for every reclaimed non-pinned object, before it is
 /// freed.
-pub fn collect_full(
-    heap: &mut Heap,
-    program: &Program,
-    roots: &[Handle],
-    on_free: &mut dyn FnMut(&Object),
-) -> CollectOutcome {
-    collect_full_impl(heap, program, roots, on_free, None)
-}
-
-/// Runs a full mark-sweep collection with retaining-path sampling.
 ///
-/// Identical to [`collect_full`] — same marking, finalizer resurrection,
-/// and sweep — except that the mark loop additionally records each
-/// object's discovery edge and draws from the sampler's seeded stream;
-/// the resolved samples come back in
-/// [`CollectOutcome::retain_samples`]. The sampler's generator state is
-/// advanced in place so the caller can carry it to the next collection.
-pub fn collect_full_traced(
-    heap: &mut Heap,
-    program: &Program,
-    roots: &[Handle],
-    on_free: &mut dyn FnMut(&Object),
-    sampler: &mut RetainSampler,
-) -> CollectOutcome {
-    collect_full_impl(heap, program, roots, on_free, Some(sampler))
-}
-
-fn collect_full_impl(
+/// With a `sampler`, the mark loop additionally records each object's
+/// discovery edge and draws from the sampler's seeded stream; marking,
+/// finalizer resurrection and sweep are unchanged. The resolved samples
+/// come back in [`CollectOutcome::retain_samples`], and the sampler's
+/// generator state is advanced in place so the caller can carry it to the
+/// next collection.
+pub fn collect_full(
     heap: &mut Heap,
     program: &Program,
     roots: &[Handle],
@@ -273,7 +253,12 @@ fn mark(heap: &mut Heap, worklist: &mut Vec<Handle>, traced: &mut u64) {
 
 /// [`mark`] with discovery-edge recording and per-object sampling. Kept
 /// as a separate loop so the untraced mark pays nothing for the feature.
-fn mark_traced(heap: &mut Heap, worklist: &mut Vec<Handle>, traced: &mut u64, s: &mut RetainSampler) {
+fn mark_traced(
+    heap: &mut Heap,
+    worklist: &mut Vec<Handle>,
+    traced: &mut u64,
+    s: &mut RetainSampler,
+) {
     while let Some(h) = worklist.pop() {
         let Some(o) = heap.get_mut(h) else { continue };
         if o.marked {
@@ -320,7 +305,7 @@ mod tests {
         heap.get_mut(a).unwrap().data[0] = Value::Ref(b);
         let orphan = heap.alloc(c, 5, false, false);
         let mut freed = Vec::new();
-        let outcome = collect_full(&mut heap, &p, &[a], &mut |o| freed.push(o.id));
+        let outcome = collect_full(&mut heap, &p, &[a], &mut |o| freed.push(o.id), None);
         assert_eq!(outcome.freed_count, 1);
         assert_eq!(outcome.reachable_count, 2);
         assert_eq!(freed.len(), 1);
@@ -338,7 +323,7 @@ mod tests {
         let b = heap.alloc(c, 1, false, false);
         heap.get_mut(a).unwrap().data[0] = Value::Ref(b);
         heap.get_mut(b).unwrap().data[0] = Value::Ref(a);
-        let outcome = collect_full(&mut heap, &p, &[], &mut |_| {});
+        let outcome = collect_full(&mut heap, &p, &[], &mut |_| {}, None);
         assert_eq!(outcome.freed_count, 2);
         assert_eq!(heap.live_count(), 0);
     }
@@ -352,7 +337,7 @@ mod tests {
         let reached = heap.alloc(c, 0, false, false);
         heap.get_mut(pinned).unwrap().data[0] = Value::Ref(reached);
         let mut freed = 0;
-        let outcome = collect_full(&mut heap, &p, &[], &mut |_| freed += 1);
+        let outcome = collect_full(&mut heap, &p, &[], &mut |_| freed += 1, None);
         assert_eq!(freed, 0);
         assert_eq!(outcome.freed_count, 0);
         // Pinned objects are excluded from the reachable sample.
@@ -384,7 +369,7 @@ mod tests {
         let mut heap = Heap::new();
         let f = heap.alloc(cid, 0, false, false);
         let mut freed = 0;
-        let o1 = collect_full(&mut heap, &p, &[], &mut |_| freed += 1);
+        let o1 = collect_full(&mut heap, &p, &[], &mut |_| freed += 1, None);
         assert_eq!(o1.pending_finalizers, vec![f]);
         assert_eq!(freed, 0, "resurrected, not freed");
         assert!(heap.get(f).is_some());
@@ -394,7 +379,7 @@ mod tests {
             o.finalize_pending = false;
             o.finalized = true;
         }
-        let o2 = collect_full(&mut heap, &p, &[], &mut |_| freed += 1);
+        let o2 = collect_full(&mut heap, &p, &[], &mut |_| freed += 1, None);
         assert!(o2.pending_finalizers.is_empty());
         assert_eq!(freed, 1, "second collection reclaims it");
         assert!(heap.get(f).is_none());
@@ -415,7 +400,10 @@ mod tests {
         assert!(heap.get(young_dead).is_none());
         assert!(heap.get(young_live).is_some());
         assert!(heap.get(young_live).unwrap().old, "survivor promoted");
-        assert!(heap.get(old).is_some(), "old gen untouched even if unrooted");
+        assert!(
+            heap.get(old).is_some(),
+            "old gen untouched even if unrooted"
+        );
     }
 
     #[test]
@@ -436,6 +424,9 @@ mod tests {
         heap.get_mut(old).unwrap().data[0] = Value::Ref(young2);
         // (barrier "forgot" to record it)
         let outcome = collect_minor(&mut heap, &p, &[], &mut |_| {});
-        assert_eq!(outcome.freed_count, 1, "demonstrates the barrier is load-bearing");
+        assert_eq!(
+            outcome.freed_count, 1,
+            "demonstrates the barrier is load-bearing"
+        );
     }
 }

@@ -23,10 +23,14 @@ pub const SLOT_BYTES: u64 = 8;
 /// Object alignment.
 pub const ALIGN_BYTES: u64 = 8;
 
-/// Size in bytes of an object with `slots` fields or elements.
+/// The most slots an object may have: Java's bound on array length.
+const MAX_SLOTS: usize = i32::MAX as usize;
+
+/// Size in bytes of an object with `slots` fields or elements (saturating
+/// at `u64::MAX` for lengths no heap could hold).
 pub fn object_size(slots: usize) -> u64 {
-    let raw = HEADER_BYTES + slots as u64 * SLOT_BYTES;
-    raw.div_ceil(ALIGN_BYTES) * ALIGN_BYTES
+    let raw = HEADER_BYTES.saturating_add((slots as u64).saturating_mul(SLOT_BYTES));
+    raw.div_ceil(ALIGN_BYTES).saturating_mul(ALIGN_BYTES)
 }
 
 /// An indirect reference to a heap object.
@@ -205,12 +209,14 @@ impl Heap {
         &mut self.stats
     }
 
-    /// True if allocating `slots` more value slots would exceed the limit.
+    /// True if an object of `slots` value slots cannot be allocated: it
+    /// would take the live bytes past the limit, or, limit or not, it is
+    /// longer than an array may be.
     pub fn would_exceed_limit(&self, slots: usize) -> bool {
-        match self.limit {
-            Some(limit) => self.live_bytes + object_size(slots) > limit,
-            None => false,
-        }
+        slots > MAX_SLOTS
+            || self
+                .limit
+                .is_some_and(|limit| self.live_bytes.saturating_add(object_size(slots)) > limit)
     }
 
     /// Allocates an object; advances the clock by its size.
@@ -218,13 +224,7 @@ impl Heap {
     /// Does **not** check the heap limit — the interpreter checks
     /// [`Heap::would_exceed_limit`] first so it can attempt a collection
     /// before declaring out-of-memory.
-    pub fn alloc(
-        &mut self,
-        class: ClassId,
-        slots: usize,
-        is_array: bool,
-        pinned: bool,
-    ) -> Handle {
+    pub fn alloc(&mut self, class: ClassId, slots: usize, is_array: bool, pinned: bool) -> Handle {
         let size = object_size(slots);
         self.clock += size;
         self.live_bytes += size;

@@ -3,19 +3,19 @@
 use std::collections::HashMap;
 
 use crate::error::VmError;
-use crate::gc::{collect_full, collect_full_traced, collect_minor, CollectOutcome};
+use crate::gc::{collect_full, collect_minor, CollectOutcome};
 use crate::heap::{Handle, Heap, HeapStats};
-use crate::ids::{ChainId, ClassId, MethodId, ObjectId, SiteId};
+use crate::ids::{ChainId, ClassId, MethodId, ObjectId, VSlot};
 use crate::insn::{Insn, OpcodeClass};
 use crate::metrics::VmMetrics;
 use crate::observer::{
     AllocEvent, FreeEvent, GcEvent, HeapObserver, NullObserver, RetainDelivery, RetainEvent,
     UseDelivery, UseEvent, UseKind,
 };
-use crate::predecode::{predecode, ChainIc, CtxIc, CtxTable, IcState, Op, PredecodedProgram, VtIc};
+use crate::predecode::{predecode, ChainIc, CtxIc, IcState, Op, PredecodedProgram, VtIc};
 use crate::program::Program;
 use crate::retain::{RetainConfig, RetainSampler, RootRef};
-use crate::site::SiteTable;
+use crate::site::{CtxTable, SiteTable};
 use crate::value::Value;
 
 /// Which dispatch loop executes bytecode.
@@ -143,15 +143,31 @@ struct Frame {
     pc: u32,
     locals: Vec<Value>,
     stack: Vec<Value>,
-    /// Caller context: interned sites of the call chain, innermost first,
-    /// already truncated to `site_depth - 1`. Reference-interpreter frames
-    /// (and finalizer-lineage frames) carry it materialized; fast frames
-    /// leave it empty and use `ctx` instead.
-    context: Vec<SiteId>,
-    /// The same caller context as an id into the VM's private
-    /// [`CtxTable`]; only meaningful for frames the fast loop pushed.
+    /// Caller context: an id into the VM's [`CtxTable`] naming the call
+    /// chain's sites, innermost first, truncated to `site_depth - 1`. Entry
+    /// and finalizer frames run in the empty context, id 0.
     ctx: u32,
     kind: FrameKind,
+}
+
+/// An executing instruction: its method and pc, and the caller context of
+/// the frame running it. Event chains, callee contexts and bytecode errors
+/// are functions of it.
+#[derive(Debug, Clone, Copy)]
+struct At {
+    method: MethodId,
+    pc: u32,
+    ctx: u32,
+}
+
+impl At {
+    fn invalid(self, reason: String) -> VmError {
+        VmError::InvalidBytecode {
+            method: self.method,
+            pc: self.pc,
+            reason,
+        }
+    }
 }
 
 /// One buffered use event under [`UseDelivery::Coalesced`]: the last use of
@@ -209,6 +225,13 @@ struct Thrown {
     value: Option<Handle>,
 }
 
+impl Thrown {
+    /// A runtime-raised exception of a builtin class, with no object.
+    fn builtin(class: ClassId) -> Self {
+        Thrown { class, value: None }
+    }
+}
+
 enum StepResult {
     Continue,
     ProgramExit,
@@ -245,7 +268,7 @@ pub struct Vm<'p> {
     pre: PredecodedProgram,
     /// Inline-cache state, persistent across runs (site ids are too).
     ics: IcState,
-    /// Interned caller contexts for fast frames.
+    /// Interned caller contexts of every frame.
     ctxs: CtxTable,
     /// Buffered uses awaiting a coalesced flush.
     pending: PendingUses,
@@ -360,16 +383,13 @@ impl<'p> Vm<'p> {
             pc: 0,
             locals,
             stack,
-            context: Vec::new(),
             ctx: 0,
             kind: FrameKind::Entry,
         });
 
         match self.config.interpreter {
             InterpreterKind::Fast => self.run_fast(observer)?,
-            InterpreterKind::Reference => {
-                while let StepResult::Continue = self.step(observer)? {}
-            }
+            InterpreterKind::Reference => while let StepResult::Continue = self.step(observer)? {},
         }
         self.flush_pending_uses(observer);
 
@@ -433,24 +453,68 @@ impl<'p> Vm<'p> {
     }
 
     // --- event helpers ----------------------------------------------------
+    //
+    // Both dispatch loops call these; the fast loop passes its inline-cache
+    // slot, the reference loop `None`. A cache miss interns exactly what an
+    // uncached call does, at the same logical point in the run, so the site
+    // table's insertion order (and therefore all log output) is the same
+    // under both interpreters.
 
-    fn event_chain(&mut self, insn_pc: u32) -> crate::ids::ChainId {
-        let frame = self.frames.last().expect("active frame");
-        let site = self.sites.intern_site(frame.method, insn_pc);
-        let mut chain = Vec::with_capacity(1 + frame.context.len());
-        chain.push(site);
-        chain.extend_from_slice(&frame.context);
-        chain.truncate(self.config.site_depth.max(1));
-        self.sites.intern_chain(&chain)
+    /// The event chain of an allocation or use at `at`: its site, then the
+    /// frame's caller context, truncated to `site_depth`.
+    fn chain(&mut self, at: At, ic: Option<&mut ChainIc>) -> ChainId {
+        if let Some(slot) = &ic {
+            if slot.ctx_plus1 == at.ctx + 1 {
+                return slot.chain;
+            }
+        }
+        let site = self.sites.intern_site(at.method, at.pc);
+        let len = self.config.site_depth.max(1);
+        let id = self.sites.intern_chain(self.ctxs.extend(site, at.ctx, len));
+        if let Some(slot) = ic {
+            *slot = ChainIc {
+                ctx_plus1: at.ctx + 1,
+                chain: id,
+            };
+        }
+        id
     }
 
+    /// The caller context of a frame called from `caller`: the call site,
+    /// then the caller's own context, truncated to `site_depth - 1`.
+    fn callee_ctx(&mut self, caller: At, cic: Option<&mut CtxIc>) -> u32 {
+        if let Some(slot) = &cic {
+            if slot.caller_plus1 == caller.ctx + 1 {
+                return slot.callee;
+            }
+        }
+        let site = self.sites.intern_site(caller.method, caller.pc);
+        let len = self.config.site_depth.saturating_sub(1);
+        let id = self.ctxs.intern_extended(site, caller.ctx, len);
+        if let Some(slot) = cic {
+            *slot = CtxIc {
+                caller_plus1: caller.ctx + 1,
+                callee: id,
+            };
+        }
+        id
+    }
+
+    /// Records a use of `handle` at `at` as `delivery` says. `step()`
+    /// always passes [`UseDelivery::PerAccess`], so its event stream does
+    /// not depend on the observer's preference.
     fn record_use(
         &mut self,
         observer: &mut dyn HeapObserver,
+        delivery: UseDelivery,
         handle: Handle,
         kind: UseKind,
-        insn_pc: u32,
+        at: At,
+        ic: Option<&mut ChainIc>,
     ) {
+        if delivery == UseDelivery::Skip {
+            return;
+        }
         let Some(obj) = self.heap.get(handle) else {
             return;
         };
@@ -458,13 +522,37 @@ impl<'p> Vm<'p> {
             return;
         }
         let object = obj.id;
-        let site = self.event_chain(insn_pc);
-        observer.on_use(UseEvent {
-            object,
-            kind,
-            time: self.heap.clock(),
-            site,
-        });
+        let site = self.chain(at, ic);
+        let time = self.heap.clock();
+        match delivery {
+            UseDelivery::Coalesced => self.pending.note(handle, object, kind, time, site),
+            _ => observer.on_use(UseEvent {
+                object,
+                kind,
+                time,
+                site,
+            }),
+        }
+    }
+
+    /// Delivers buffered coalesced uses in noting order and clears the
+    /// buffer. Called at every GC safepoint (before any frees) and at the
+    /// end of a run (before survivor frees), so observers always see a use
+    /// before the free that follows it.
+    fn flush_pending_uses(&mut self, observer: &mut dyn HeapObserver) {
+        if self.pending.entries.is_empty() {
+            return;
+        }
+        let PendingUses { entries, slots } = &mut self.pending;
+        for e in entries.drain(..) {
+            slots[e.slot as usize] = 0;
+            observer.on_use(UseEvent {
+                object: e.object,
+                kind: e.kind,
+                time: e.time,
+                site: e.site,
+            });
+        }
     }
 
     // --- roots & collections ------------------------------------------------
@@ -496,20 +584,21 @@ impl<'p> Vm<'p> {
         self.flush_pending_uses(observer);
         let roots = self.roots();
         let time = self.heap.clock();
-        let sampling = census
-            && observer.retain_delivery() == RetainDelivery::Sample
-            && self.config.retain.is_some_and(|r| r.threshold > 0);
+        let sampling = census && observer.retain_delivery() == RetainDelivery::Sample;
+        let mut sampler = (self.config.retain)
+            .filter(|r| sampling && r.threshold > 0)
+            .map(|r| RetainSampler::new(r, self.retain_state, self.root_refs()));
         let on_free = &mut |o: &crate::heap::Object| observer.on_free(FreeEvent::new(o.id, time));
-        let outcome = if sampling {
-            let retain = self.config.retain.expect("sampling checked");
-            let mut sampler = RetainSampler::new(retain, self.retain_state, self.root_refs());
-            let out =
-                collect_full_traced(&mut self.heap, self.program, &roots, on_free, &mut sampler);
+        let outcome = collect_full(
+            &mut self.heap,
+            self.program,
+            &roots,
+            on_free,
+            sampler.as_mut(),
+        );
+        if let Some(sampler) = sampler {
             self.retain_state = sampler.state();
-            out
-        } else {
-            collect_full(&mut self.heap, self.program, &roots, on_free)
-        };
+        }
         self.finalize_queue
             .extend_from_slice(&outcome.pending_finalizers);
         self.monitors.retain(|h, _| self.heap.get(*h).is_some());
@@ -646,50 +735,58 @@ impl<'p> Vm<'p> {
         Ok(())
     }
 
-    /// Allocates, forcing a collection (and then failing over to an
-    /// `OutOfMemoryError` thrown into the program) if the limit would be
-    /// exceeded.
+    /// Allocates at `at` and runs the allocation's safe point: a forced
+    /// collection if the heap limit would be exceeded (then an
+    /// `OutOfMemoryError` thrown into the program if it still would), the
+    /// alloc event, the push of the new reference, and the GC policy
+    /// checks. The current frame must be on `self.frames`: the collections
+    /// need its roots.
     fn allocate(
         &mut self,
+        observer: &mut dyn HeapObserver,
         class: ClassId,
         slots: usize,
         is_array: bool,
-        insn_pc: u32,
-        observer: &mut dyn HeapObserver,
-    ) -> Result<Result<Handle, Thrown>, VmError> {
+        at: At,
+        ic: Option<&mut ChainIc>,
+    ) -> Result<(), VmError> {
         if self.heap.would_exceed_limit(slots) {
             self.full_gc(observer, false);
             if self.heap.would_exceed_limit(slots) {
-                return Ok(Err(Thrown {
-                    class: self.program.builtins.out_of_memory,
-                    value: None,
-                }));
+                let oom = Thrown::builtin(self.program.builtins.out_of_memory);
+                return self.throw(oom, at.pc);
             }
         }
         let pinned = self.program.classes[class.index()].pinned;
         let handle = self.heap.alloc(class, slots, is_array, pinned);
         if !pinned {
-            let object = self.heap.get(handle).expect("fresh allocation").id;
-            let site = self.event_chain(insn_pc);
+            let obj = self.heap.get(handle).expect("fresh allocation");
+            let (object, size) = (obj.id, obj.size_bytes);
+            let site = self.chain(at, ic);
             observer.on_alloc(AllocEvent {
                 object,
                 class,
-                size: self.heap.get(handle).expect("fresh allocation").size_bytes,
+                size,
                 time: self.heap.clock(),
                 site,
             });
         }
-        Ok(Ok(handle))
+        self.push(Value::Ref(handle));
+        self.post_alloc_gc(observer)
     }
 
     // --- frames ---------------------------------------------------------------
 
+    /// Pushes a frame for `method`: with a `caller`, a normal frame whose
+    /// context is [`callee_ctx`](Self::callee_ctx) of the call there;
+    /// without, a finalizer frame in the empty context.
     fn push_frame(
         &mut self,
         method: MethodId,
         args: Vec<Value>,
-        kind: FrameKind,
-        caller_insn_pc: u32,
+        caller: Option<At>,
+        cic: Option<&mut CtxIc>,
+        stack_capacity: usize,
     ) -> Result<(), VmError> {
         if self.frames.len() >= self.config.max_frames {
             return Err(VmError::StackOverflow {
@@ -700,32 +797,43 @@ impl<'p> Vm<'p> {
         debug_assert_eq!(args.len(), m.num_params as usize);
         let mut locals = args;
         locals.resize(m.num_locals as usize, Value::Null);
-        let context = match (kind, self.frames.last()) {
-            (FrameKind::Normal, Some(caller)) => {
-                let site = self.sites.intern_site(caller.method, caller_insn_pc);
-                let mut ctx = Vec::with_capacity(1 + caller.context.len());
-                ctx.push(site);
-                ctx.extend_from_slice(&caller.context);
-                ctx.truncate(self.config.site_depth.saturating_sub(1));
-                ctx
-            }
-            _ => Vec::new(),
+        let (kind, ctx) = match caller {
+            Some(at) => (FrameKind::Normal, self.callee_ctx(at, cic)),
+            None => (FrameKind::Finalizer, 0),
         };
         self.frames.push(Frame {
             method,
             pc: 0,
             locals,
-            stack: Vec::new(),
-            context,
-            ctx: 0,
+            stack: Vec::with_capacity(stack_capacity),
+            ctx,
             kind,
         });
         Ok(())
     }
 
+    /// Returns from a popped frame of `kind` with `value`: a normal frame's
+    /// value goes to its caller's operand stack, a finalizer's is
+    /// discarded. True when the entry frame returned (program exit).
+    fn ret(&mut self, kind: FrameKind, value: Option<Value>) -> bool {
+        match kind {
+            FrameKind::Normal => {
+                if let (Some(v), Some(caller)) = (value, self.frames.last_mut()) {
+                    caller.stack.push(v);
+                }
+            }
+            FrameKind::Entry => return true,
+            FrameKind::Finalizer => {}
+        }
+        false
+    }
+
     /// Runs `method` to completion on top of the current stack (used for
     /// finalizers). Exceptions escaping the method are swallowed, as the
     /// JVM does for finalizers.
+    ///
+    /// Finalizers run on `step()` under both interpreters: the fast loop
+    /// holds the pre-decoded program and caches for its whole run.
     fn run_nested(
         &mut self,
         method: MethodId,
@@ -733,7 +841,7 @@ impl<'p> Vm<'p> {
         observer: &mut dyn HeapObserver,
     ) -> Result<(), VmError> {
         let base = self.frames.len();
-        self.push_frame(method, args, FrameKind::Finalizer, 0)?;
+        self.push_frame(method, args, None, None, 0)?;
         while self.frames.len() > base {
             match self.step(observer)? {
                 StepResult::Continue => {}
@@ -745,18 +853,18 @@ impl<'p> Vm<'p> {
 
     // --- exception handling ------------------------------------------------------
 
+    /// What `Throw` throws: the object `h`, as an instance of its class.
+    fn thrown(&self, h: Handle) -> Result<Thrown, VmError> {
+        let class = self.heap.get(h).ok_or(VmError::InvalidHandle)?.class;
+        Ok(Thrown {
+            class,
+            value: Some(h),
+        })
+    }
+
     fn throw(&mut self, thrown: Thrown, insn_pc: u32) -> Result<(), VmError> {
         let mut pc = insn_pc;
-        loop {
-            let frame = match self.frames.last_mut() {
-                Some(f) => f,
-                None => {
-                    return Err(VmError::UncaughtException {
-                        class: thrown.class,
-                        class_name: self.program.classes[thrown.class.index()].name.clone(),
-                    })
-                }
-            };
+        while let Some(frame) = self.frames.last_mut() {
             let method = &self.program.methods[frame.method.index()];
             let handler = method.handlers.iter().find(|h| {
                 pc >= h.start_pc
@@ -774,34 +882,43 @@ impl<'p> Vm<'p> {
                 return Ok(());
             }
             let kind = frame.kind;
+            self.frames.pop();
             match kind {
+                // Continue unwinding at the caller's faulting pc.
                 FrameKind::Normal => {
-                    // Continue unwinding at the caller's faulting pc.
-                    self.frames.pop();
                     if let Some(caller) = self.frames.last() {
                         pc = caller.pc.saturating_sub(1);
                     }
                 }
-                FrameKind::Entry => {
-                    self.frames.pop();
-                    return Err(VmError::UncaughtException {
-                        class: thrown.class,
-                        class_name: self.program.classes[thrown.class.index()].name.clone(),
-                    });
-                }
-                FrameKind::Finalizer => {
-                    // The JVM ignores exceptions thrown by finalizers.
-                    self.frames.pop();
-                    return Ok(());
-                }
+                FrameKind::Entry => break,
+                // The JVM ignores exceptions thrown by finalizers.
+                FrameKind::Finalizer => return Ok(()),
             }
         }
+        Err(VmError::UncaughtException {
+            class: thrown.class,
+            class_name: self.program.classes[thrown.class.index()].name.clone(),
+        })
     }
 
-    // --- stack helpers ----------------------------------------------------------------
+    // --- operand helpers ----------------------------------------------------------------
+
+    /// Counts one executed instruction against the step budget.
+    #[inline]
+    fn charge_step(&mut self) -> Result<(), VmError> {
+        if self.config.max_steps.is_some_and(|max| self.steps >= max) {
+            return Err(VmError::StepBudgetExhausted);
+        }
+        self.steps += 1;
+        Ok(())
+    }
+
+    fn top(&mut self) -> &mut Frame {
+        self.frames.last_mut().expect("active frame")
+    }
 
     fn pop(&mut self) -> Result<Value, VmError> {
-        let frame = self.frames.last_mut().expect("active frame");
+        let frame = self.top();
         frame.stack.pop().ok_or(VmError::StackUnderflow {
             method: frame.method,
             pc: frame.pc.saturating_sub(1),
@@ -809,46 +926,130 @@ impl<'p> Vm<'p> {
     }
 
     fn push(&mut self, v: Value) {
-        self.frames.last_mut().expect("active frame").stack.push(v);
+        self.top().stack.push(v);
     }
 
     fn pop_int(&mut self) -> Result<i64, VmError> {
         self.pop()?.as_int()
     }
 
-    // --- the interpreter proper ----------------------------------------------------------
+    /// Field `slot` of object `h`; a slot past the object's end is invalid
+    /// bytecode at `at`.
+    fn field(&mut self, h: Handle, slot: u16, at: At) -> Result<&mut Value, VmError> {
+        let obj = self.heap.get_mut(h).ok_or(VmError::InvalidHandle)?;
+        obj.data
+            .get_mut(slot as usize)
+            .ok_or_else(|| at.invalid(format!("field slot {slot} out of range")))
+    }
 
-    fn step(&mut self, observer: &mut dyn HeapObserver) -> Result<StepResult, VmError> {
-        if let Some(max) = self.config.max_steps {
-            if self.steps >= max {
-                return Err(VmError::StepBudgetExhausted);
+    /// Element `idx` of array `h`, or `None` when out of bounds.
+    fn element(&mut self, h: Handle, idx: i64) -> Result<Option<&mut Value>, VmError> {
+        let obj = self.heap.get_mut(h).ok_or(VmError::InvalidHandle)?;
+        Ok(usize::try_from(idx).ok().and_then(|i| obj.data.get_mut(i)))
+    }
+
+    fn instance_of(&self, v: Value, class: ClassId) -> Result<bool, VmError> {
+        Ok(match v.as_ref_nullable()? {
+            Some(h) => {
+                let obj = self.heap.get(h).ok_or(VmError::InvalidHandle)?;
+                self.program.is_subclass(obj.class, class)
+            }
+            None => false,
+        })
+    }
+
+    /// The method a virtual call at `at` reaches on a receiver of `class`,
+    /// checked to respond to `vslot` with `total` parameters. A checked
+    /// target is remembered in the call site's cache, when given.
+    fn virtual_target(
+        &self,
+        class: ClassId,
+        vslot: VSlot,
+        total: usize,
+        at: At,
+        vic: Option<&mut VtIc>,
+    ) -> Result<MethodId, VmError> {
+        if let Some(vt) = &vic {
+            if vt.class_plus1 == class.index() as u32 + 1 {
+                return Ok(vt.target);
             }
         }
-        self.steps += 1;
+        let target = self.program.dispatch(class, vslot).ok_or_else(|| {
+            at.invalid(format!(
+                "class {} does not respond to `{}`",
+                self.program.classes[class.index()].name,
+                self.program.selectors[vslot.index()]
+            ))
+        })?;
+        let callee = &self.program.methods[target.index()];
+        if callee.num_params as usize != total {
+            return Err(at.invalid(format!(
+                "virtual call arity mismatch: {} expects {} params, got {total}",
+                self.program.method_name(target),
+                callee.num_params
+            )));
+        }
+        if let Some(vt) = vic {
+            *vt = VtIc {
+                class_plus1: class.index() as u32 + 1,
+                target,
+            };
+        }
+        Ok(target)
+    }
 
-        let (method_id, insn_pc) = {
-            let frame = self.frames.last().expect("active frame");
-            (frame.method, frame.pc)
-        };
-        let method = &self.program.methods[method_id.index()];
-        let insn = match method.code.get(insn_pc as usize) {
-            Some(i) => *i,
-            None => {
-                return Err(VmError::InvalidBytecode {
-                    method: method_id,
-                    pc: insn_pc,
-                    reason: "fell off the end of the method".into(),
-                })
+    fn monitor_exit(&mut self, h: Handle) -> Result<(), VmError> {
+        match self.monitors.get_mut(&h) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                if *n == 0 {
+                    self.monitors.remove(&h);
+                }
+                Ok(())
             }
+            _ => Err(VmError::UnbalancedMonitor),
+        }
+    }
+
+    // --- the reference interpreter ---------------------------------------------------------
+
+    fn step(&mut self, observer: &mut dyn HeapObserver) -> Result<StepResult, VmError> {
+        self.charge_step()?;
+
+        let top = self.top();
+        let at = At {
+            method: top.method,
+            pc: top.pc,
+            ctx: top.ctx,
         };
-        self.frames.last_mut().expect("active frame").pc = insn_pc + 1;
+        let code = &self.program.methods[at.method.index()].code;
+        let Some(&insn) = code.get(at.pc as usize) else {
+            return Err(at.invalid("fell off the end of the method".into()));
+        };
+        self.top().pc = at.pc + 1;
         self.dispatch[insn.class() as usize] += 1;
 
         macro_rules! throw_builtin {
-            ($class:expr) => {{
-                let class = $class;
-                self.throw(Thrown { class, value: None }, insn_pc)?;
+            ($class:ident) => {{
+                self.throw(Thrown::builtin(self.program.builtins.$class), at.pc)?;
                 return Ok(StepResult::Continue);
+            }};
+        }
+
+        macro_rules! pop_ref {
+            () => {
+                match self.pop()?.as_ref_nullable()? {
+                    Some(h) => h,
+                    None => throw_builtin!(null_pointer),
+                }
+            };
+        }
+
+        /// Delivers a use per access, whatever the observer prefers.
+        macro_rules! note_use {
+            ($h:expr, $kind:ident) => {{
+                let kind = UseKind::$kind;
+                self.record_use(observer, UseDelivery::PerAccess, $h, kind, at, None)
             }};
         }
 
@@ -870,12 +1071,12 @@ impl<'p> Vm<'p> {
                 self.push(b);
             }
             Insn::Load(n) => {
-                let v = self.frames.last().expect("active frame").locals[n as usize];
+                let v = self.top().locals[n as usize];
                 self.push(v);
             }
             Insn::Store(n) => {
                 let v = self.pop()?;
-                self.frames.last_mut().expect("active frame").locals[n as usize] = v;
+                self.top().locals[n as usize] = v;
             }
             Insn::Add | Insn::Sub | Insn::Mul => {
                 let b = self.pop_int()?;
@@ -891,7 +1092,7 @@ impl<'p> Vm<'p> {
                 let b = self.pop_int()?;
                 let a = self.pop_int()?;
                 if b == 0 {
-                    throw_builtin!(self.program.builtins.arithmetic);
+                    throw_builtin!(arithmetic);
                 }
                 let r = if matches!(insn, Insn::Div) {
                     a.wrapping_div(b)
@@ -907,20 +1108,8 @@ impl<'p> Vm<'p> {
             Insn::CmpEq | Insn::CmpNe => {
                 let b = self.pop()?;
                 let a = self.pop()?;
-                let eq = match (a, b) {
-                    (Value::Int(x), Value::Int(y)) => x == y,
-                    (Value::Ref(x), Value::Ref(y)) => x == y,
-                    (Value::Null, Value::Null) => true,
-                    (Value::Ref(_), Value::Null) | (Value::Null, Value::Ref(_)) => false,
-                    _ => {
-                        return Err(VmError::TypeMismatch {
-                            expected: "comparable pair",
-                            found: "mixed int/reference",
-                        })
-                    }
-                };
-                let want = matches!(insn, Insn::CmpEq);
-                self.push(Value::Int((eq == want) as i64));
+                let eq = values_equal(a, b)?;
+                self.push(Value::Int((eq == matches!(insn, Insn::CmpEq)) as i64));
             }
             Insn::CmpLt | Insn::CmpLe | Insn::CmpGt | Insn::CmpGe => {
                 let b = self.pop_int()?;
@@ -933,127 +1122,76 @@ impl<'p> Vm<'p> {
                 };
                 self.push(Value::Int(r as i64));
             }
-            Insn::Jump(t) => self.frames.last_mut().expect("active frame").pc = t,
+            Insn::Jump(t) => self.top().pc = t,
             Insn::Branch(t) => {
                 if self.pop_int()? != 0 {
-                    self.frames.last_mut().expect("active frame").pc = t;
+                    self.top().pc = t;
                 }
             }
             Insn::BranchIfNull(t) => {
                 if self.pop()?.as_ref_nullable()?.is_none() {
-                    self.frames.last_mut().expect("active frame").pc = t;
+                    self.top().pc = t;
                 }
             }
             Insn::BranchIfNotNull(t) => {
                 if self.pop()?.as_ref_nullable()?.is_some() {
-                    self.frames.last_mut().expect("active frame").pc = t;
+                    self.top().pc = t;
                 }
             }
             Insn::New(class) => {
                 let slots = self.program.classes[class.index()].num_slots() as usize;
-                match self.allocate(class, slots, false, insn_pc, observer)? {
-                    Ok(h) => {
-                        self.push(Value::Ref(h));
-                        self.post_alloc_gc(observer)?;
-                    }
-                    Err(t) => {
-                        self.throw(t, insn_pc)?;
-                    }
-                }
+                self.allocate(observer, class, slots, false, at, None)?;
             }
             Insn::NewArray => {
                 let len = self.pop_int()?;
                 if len < 0 {
-                    throw_builtin!(self.program.builtins.index_oob);
+                    throw_builtin!(index_oob);
                 }
-                match self.allocate(
-                    self.program.builtins.array,
-                    len as usize,
-                    true,
-                    insn_pc,
-                    observer,
-                )? {
-                    Ok(h) => {
-                        self.push(Value::Ref(h));
-                        self.post_alloc_gc(observer)?;
-                    }
-                    Err(t) => {
-                        self.throw(t, insn_pc)?;
-                    }
-                }
+                let array = self.program.builtins.array;
+                self.allocate(observer, array, len as usize, true, at, None)?;
             }
             Insn::GetField(slot) => {
-                let Some(h) = self.pop()?.as_ref_nullable()? else {
-                    throw_builtin!(self.program.builtins.null_pointer);
-                };
-                self.record_use(observer, h, UseKind::GetField, insn_pc);
-                let obj = self.heap.get(h).ok_or(VmError::InvalidHandle)?;
-                let v = *obj.data.get(slot as usize).ok_or(VmError::InvalidBytecode {
-                    method: method_id,
-                    pc: insn_pc,
-                    reason: format!("field slot {slot} out of range"),
-                })?;
+                let h = pop_ref!();
+                note_use!(h, GetField);
+                let v = *self.field(h, slot, at)?;
                 self.push(v);
             }
             Insn::PutField(slot) => {
                 let v = self.pop()?;
-                let Some(h) = self.pop()?.as_ref_nullable()? else {
-                    throw_builtin!(self.program.builtins.null_pointer);
-                };
-                self.record_use(observer, h, UseKind::PutField, insn_pc);
+                let h = pop_ref!();
+                note_use!(h, PutField);
                 self.write_barrier(h, v);
-                let obj = self.heap.get_mut(h).ok_or(VmError::InvalidHandle)?;
-                let cell = obj.data.get_mut(slot as usize).ok_or(VmError::InvalidBytecode {
-                    method: method_id,
-                    pc: insn_pc,
-                    reason: format!("field slot {slot} out of range"),
-                })?;
-                *cell = v;
+                *self.field(h, slot, at)? = v;
             }
             Insn::ALoad => {
                 let idx = self.pop_int()?;
-                let Some(h) = self.pop()?.as_ref_nullable()? else {
-                    throw_builtin!(self.program.builtins.null_pointer);
-                };
-                self.record_use(observer, h, UseKind::HandleDeref, insn_pc);
-                let obj = self.heap.get(h).ok_or(VmError::InvalidHandle)?;
-                if idx < 0 || idx as usize >= obj.data.len() {
-                    throw_builtin!(self.program.builtins.index_oob);
+                let h = pop_ref!();
+                note_use!(h, HandleDeref);
+                match self.element(h, idx)?.copied() {
+                    Some(v) => self.push(v),
+                    None => throw_builtin!(index_oob),
                 }
-                let v = obj.data[idx as usize];
-                self.push(v);
             }
             Insn::AStore => {
                 let v = self.pop()?;
                 let idx = self.pop_int()?;
-                let Some(h) = self.pop()?.as_ref_nullable()? else {
-                    throw_builtin!(self.program.builtins.null_pointer);
-                };
-                self.record_use(observer, h, UseKind::HandleDeref, insn_pc);
+                let h = pop_ref!();
+                note_use!(h, HandleDeref);
                 self.write_barrier(h, v);
-                let obj = self.heap.get_mut(h).ok_or(VmError::InvalidHandle)?;
-                if idx < 0 || idx as usize >= obj.data.len() {
-                    throw_builtin!(self.program.builtins.index_oob);
+                match self.element(h, idx)? {
+                    Some(cell) => *cell = v,
+                    None => throw_builtin!(index_oob),
                 }
-                obj.data[idx as usize] = v;
             }
             Insn::ArrayLen => {
-                let Some(h) = self.pop()?.as_ref_nullable()? else {
-                    throw_builtin!(self.program.builtins.null_pointer);
-                };
-                self.record_use(observer, h, UseKind::HandleDeref, insn_pc);
+                let h = pop_ref!();
+                note_use!(h, HandleDeref);
                 let obj = self.heap.get(h).ok_or(VmError::InvalidHandle)?;
                 self.push(Value::Int(obj.data.len() as i64));
             }
             Insn::InstanceOf(class) => {
                 let v = self.pop()?;
-                let r = match v.as_ref_nullable()? {
-                    Some(h) => {
-                        let obj = self.heap.get(h).ok_or(VmError::InvalidHandle)?;
-                        self.program.is_subclass(obj.class, class)
-                    }
-                    None => false,
-                };
+                let r = self.instance_of(v, class)?;
                 self.push(Value::Int(r as i64));
             }
             Insn::GetStatic(s) => {
@@ -1066,63 +1204,26 @@ impl<'p> Vm<'p> {
             }
             Insn::Call(target) => {
                 let callee = &self.program.methods[target.index()];
-                let nparams = callee.num_params as usize;
-                let is_instance = !callee.is_static;
-                let frame = self.frames.last_mut().expect("active frame");
-                if frame.stack.len() < nparams {
-                    return Err(VmError::StackUnderflow {
-                        method: method_id,
-                        pc: insn_pc,
-                    });
-                }
-                let args: Vec<Value> = frame.stack.split_off(frame.stack.len() - nparams);
+                let (nparams, is_instance) = (callee.num_params as usize, !callee.is_static);
+                let args = pop_args(&mut self.top().stack, nparams, at)?;
                 if is_instance {
-                    match args[0].as_ref_nullable()? {
-                        Some(recv) => self.record_use(observer, recv, UseKind::Invoke, insn_pc),
-                        None => throw_builtin!(self.program.builtins.null_pointer),
-                    }
+                    let Some(recv) = args[0].as_ref_nullable()? else {
+                        throw_builtin!(null_pointer);
+                    };
+                    note_use!(recv, Invoke);
                 }
-                self.push_frame(target, args, FrameKind::Normal, insn_pc)?;
+                self.push_frame(target, args, Some(at), None, 0)?;
             }
             Insn::CallVirtual { vslot, argc } => {
                 let total = argc as usize + 1;
-                let frame = self.frames.last_mut().expect("active frame");
-                if frame.stack.len() < total {
-                    return Err(VmError::StackUnderflow {
-                        method: method_id,
-                        pc: insn_pc,
-                    });
-                }
-                let args: Vec<Value> = frame.stack.split_off(frame.stack.len() - total);
+                let args = pop_args(&mut self.top().stack, total, at)?;
                 let Some(recv) = args[0].as_ref_nullable()? else {
-                    throw_builtin!(self.program.builtins.null_pointer);
+                    throw_builtin!(null_pointer);
                 };
-                self.record_use(observer, recv, UseKind::Invoke, insn_pc);
+                note_use!(recv, Invoke);
                 let class = self.heap.get(recv).ok_or(VmError::InvalidHandle)?.class;
-                let target = self.program.dispatch(class, vslot).ok_or_else(|| {
-                    VmError::InvalidBytecode {
-                        method: method_id,
-                        pc: insn_pc,
-                        reason: format!(
-                            "class {} does not respond to `{}`",
-                            self.program.classes[class.index()].name,
-                            self.program.selectors[vslot.index()]
-                        ),
-                    }
-                })?;
-                let callee = &self.program.methods[target.index()];
-                if callee.num_params as usize != total {
-                    return Err(VmError::InvalidBytecode {
-                        method: method_id,
-                        pc: insn_pc,
-                        reason: format!(
-                            "virtual call arity mismatch: {} expects {} params, got {total}",
-                            self.program.method_name(target),
-                            callee.num_params
-                        ),
-                    });
-                }
-                self.push_frame(target, args, FrameKind::Normal, insn_pc)?;
+                let target = self.virtual_target(class, vslot, total, at, None)?;
+                self.push_frame(target, args, Some(at), None, 0)?;
             }
             Insn::Ret | Insn::RetVal => {
                 let value = if matches!(insn, Insn::RetVal) {
@@ -1131,50 +1232,24 @@ impl<'p> Vm<'p> {
                     None
                 };
                 let finished = self.frames.pop().expect("active frame");
-                match finished.kind {
-                    FrameKind::Normal => {
-                        if let (Some(v), Some(caller)) = (value, self.frames.last_mut()) {
-                            caller.stack.push(v);
-                        }
-                    }
-                    FrameKind::Entry => return Ok(StepResult::ProgramExit),
-                    FrameKind::Finalizer => { /* return value discarded */ }
+                if self.ret(finished.kind, value) {
+                    return Ok(StepResult::ProgramExit);
                 }
             }
             Insn::MonitorEnter => {
-                let Some(h) = self.pop()?.as_ref_nullable()? else {
-                    throw_builtin!(self.program.builtins.null_pointer);
-                };
-                self.record_use(observer, h, UseKind::MonitorEnter, insn_pc);
+                let h = pop_ref!();
+                note_use!(h, MonitorEnter);
                 *self.monitors.entry(h).or_insert(0) += 1;
             }
             Insn::MonitorExit => {
-                let Some(h) = self.pop()?.as_ref_nullable()? else {
-                    throw_builtin!(self.program.builtins.null_pointer);
-                };
-                self.record_use(observer, h, UseKind::MonitorExit, insn_pc);
-                match self.monitors.get_mut(&h) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        if *n == 0 {
-                            self.monitors.remove(&h);
-                        }
-                    }
-                    _ => return Err(VmError::UnbalancedMonitor),
-                }
+                let h = pop_ref!();
+                note_use!(h, MonitorExit);
+                self.monitor_exit(h)?;
             }
             Insn::Throw => {
-                let Some(h) = self.pop()?.as_ref_nullable()? else {
-                    throw_builtin!(self.program.builtins.null_pointer);
-                };
-                let class = self.heap.get(h).ok_or(VmError::InvalidHandle)?.class;
-                self.throw(
-                    Thrown {
-                        class,
-                        value: Some(h),
-                    },
-                    insn_pc,
-                )?;
+                let h = pop_ref!();
+                let thrown = self.thrown(h)?;
+                self.throw(thrown, at.pc)?;
             }
             Insn::Print => {
                 let v = self.pop_int()?;
@@ -1191,200 +1266,14 @@ impl<'p> Vm<'p> {
 
     // --- the fast interpreter ---------------------------------------------
     //
-    // Observably identical to `step()` (the differential harness pins this),
-    // but structured for speed: it executes the pre-decoded op stream with
-    // the top frame held in an owned local, spilling it back to
-    // `self.frames` only around GC, calls, and unwinding (so `roots()`
-    // always sees it). Inline caches make the chain-interning and vtable
-    // work a compare on the hot path; `UseDelivery` lets observers skip or
-    // coalesce the per-access use traffic.
-
-    /// Delivers buffered coalesced uses in noting order and clears the
-    /// buffer. Called at every GC safepoint (before any frees) and at the
-    /// end of a run (before survivor frees), so observers always see a use
-    /// before the free that follows it.
-    fn flush_pending_uses(&mut self, observer: &mut dyn HeapObserver) {
-        if self.pending.entries.is_empty() {
-            return;
-        }
-        let PendingUses { entries, slots } = &mut self.pending;
-        for e in entries.drain(..) {
-            slots[e.slot as usize] = 0;
-            observer.on_use(UseEvent {
-                object: e.object,
-                kind: e.kind,
-                time: e.time,
-                site: e.site,
-            });
-        }
-    }
-
-    /// The event chain for an allocation or use site, via its inline cache.
-    ///
-    /// On a miss this interns exactly what the reference interpreter's
-    /// `event_chain` would — at the same logical point in the run — so the
-    /// site table's insertion order (and therefore all log output) is
-    /// identical across interpreters.
-    fn fast_chain(
-        &mut self,
-        ics: &mut IcState,
-        method: MethodId,
-        insn_pc: u32,
-        ctx: u32,
-        ic: u32,
-    ) -> ChainId {
-        let slot = &mut ics.chains[ic as usize];
-        if slot.ctx_plus1 == ctx + 1 {
-            return slot.chain;
-        }
-        let site = self.sites.intern_site(method, insn_pc);
-        let parent = self.ctxs.get(ctx);
-        let mut chain = Vec::with_capacity(1 + parent.len());
-        chain.push(site);
-        chain.extend_from_slice(parent);
-        chain.truncate(self.config.site_depth.max(1));
-        let id = self.sites.intern_chain(&chain);
-        *slot = ChainIc {
-            ctx_plus1: ctx + 1,
-            chain: id,
-        };
-        id
-    }
-
-    /// The fast-path `record_use`: honors the observer's [`UseDelivery`].
-    #[allow(clippy::too_many_arguments)]
-    fn fast_use(
-        &mut self,
-        ics: &mut IcState,
-        observer: &mut dyn HeapObserver,
-        delivery: UseDelivery,
-        handle: Handle,
-        kind: UseKind,
-        method: MethodId,
-        insn_pc: u32,
-        ctx: u32,
-        ic: u32,
-    ) {
-        if delivery == UseDelivery::Skip {
-            return;
-        }
-        let Some(obj) = self.heap.get(handle) else {
-            return;
-        };
-        if obj.pinned {
-            return;
-        }
-        let object = obj.id;
-        let site = self.fast_chain(ics, method, insn_pc, ctx, ic);
-        let time = self.heap.clock();
-        match delivery {
-            UseDelivery::PerAccess => observer.on_use(UseEvent {
-                object,
-                kind,
-                time,
-                site,
-            }),
-            UseDelivery::Coalesced => self.pending.note(handle, object, kind, time, site),
-            UseDelivery::Skip => unreachable!("handled above"),
-        }
-    }
-
-    /// The fast-path `allocate`: same GC-then-OOM policy and events as the
-    /// reference, with the chain via the site's inline cache. The current
-    /// frame must already be spilled (the forced collection needs roots).
-    #[allow(clippy::too_many_arguments)]
-    fn allocate_fast(
-        &mut self,
-        ics: &mut IcState,
-        observer: &mut dyn HeapObserver,
-        class: ClassId,
-        slots: usize,
-        is_array: bool,
-        method: MethodId,
-        insn_pc: u32,
-        ctx: u32,
-        ic: u32,
-    ) -> Result<Handle, Thrown> {
-        if self.heap.would_exceed_limit(slots) {
-            self.full_gc(observer, false);
-            if self.heap.would_exceed_limit(slots) {
-                return Err(Thrown {
-                    class: self.program.builtins.out_of_memory,
-                    value: None,
-                });
-            }
-        }
-        let pinned = self.program.classes[class.index()].pinned;
-        let handle = self.heap.alloc(class, slots, is_array, pinned);
-        if !pinned {
-            let obj = self.heap.get(handle).expect("fresh allocation");
-            let object = obj.id;
-            let size = obj.size_bytes;
-            let site = self.fast_chain(ics, method, insn_pc, ctx, ic);
-            observer.on_alloc(AllocEvent {
-                object,
-                class,
-                size,
-                time: self.heap.clock(),
-                site,
-            });
-        }
-        Ok(handle)
-    }
-
-    /// The fast-path `push_frame` for `FrameKind::Normal` calls: the callee
-    /// context is a `u32` from the call site's context cache instead of a
-    /// materialized `Vec`. A miss interns the caller site exactly as the
-    /// reference `push_frame` would.
-    #[allow(clippy::too_many_arguments)]
-    fn push_frame_fast(
-        &mut self,
-        pre: &PredecodedProgram,
-        ics: &mut IcState,
-        method: MethodId,
-        args: Vec<Value>,
-        caller_method: MethodId,
-        caller_insn_pc: u32,
-        caller_ctx: u32,
-        cic: u32,
-    ) -> Result<(), VmError> {
-        if self.frames.len() >= self.config.max_frames {
-            return Err(VmError::StackOverflow {
-                limit: self.config.max_frames,
-            });
-        }
-        let m = &self.program.methods[method.index()];
-        debug_assert_eq!(args.len(), m.num_params as usize);
-        let mut locals = args;
-        locals.resize(m.num_locals as usize, Value::Null);
-        let slot = &mut ics.ctxs[cic as usize];
-        let ctx = if slot.caller_plus1 == caller_ctx + 1 {
-            slot.callee
-        } else {
-            let site = self.sites.intern_site(caller_method, caller_insn_pc);
-            let parent = self.ctxs.get(caller_ctx);
-            let mut ctx_vec = Vec::with_capacity(1 + parent.len());
-            ctx_vec.push(site);
-            ctx_vec.extend_from_slice(parent);
-            ctx_vec.truncate(self.config.site_depth.saturating_sub(1));
-            let id = self.ctxs.intern(ctx_vec);
-            *slot = CtxIc {
-                caller_plus1: caller_ctx + 1,
-                callee: id,
-            };
-            id
-        };
-        self.frames.push(Frame {
-            method,
-            pc: 0,
-            locals,
-            stack: Vec::with_capacity(pre.methods[method.index()].stack_capacity),
-            context: Vec::new(),
-            ctx,
-            kind: FrameKind::Normal,
-        });
-        Ok(())
-    }
+    // Observably identical to `step()` (the differential harness pins this)
+    // and sharing every helper with it; only dispatch differs. It executes
+    // the pre-decoded op stream with the top frame held in an owned local,
+    // spilling it back to `self.frames` only around allocation, calls, and
+    // unwinding (so `roots()` always sees it). Inline caches make the chain
+    // interning, callee-context and vtable work a compare on the hot path;
+    // `UseDelivery` lets observers skip or coalesce the per-access use
+    // traffic.
 
     /// Runs the fast loop, temporarily moving the pre-decoded program and
     /// inline caches out of `self` so the loop can borrow them alongside
@@ -1434,6 +1323,15 @@ impl<'p> Vm<'p> {
             }};
         }
 
+        /// Spills the frame, resuming after this op, so that a helper finds
+        /// it on `self.frames`; the arm `reload!`s afterwards.
+        macro_rules! spill {
+            () => {{
+                frame.pc = pc as u32;
+                self.frames.push(frame);
+            }};
+        }
+
         /// Pops the operand stack; `StackUnderflow` at the given fault pc
         /// (the reference's `pop()` reports `frame.pc - 1`).
         macro_rules! fpop {
@@ -1469,17 +1367,49 @@ impl<'p> Vm<'p> {
             }};
         }
 
+        macro_rules! throw_builtin {
+            ($class:ident, $fault_pc:expr) => {
+                fast_throw!(Thrown::builtin(self.program.builtins.$class), $fault_pc)
+            };
+        }
+
+        /// Pops a reference; a null throws `NullPointerException`.
+        macro_rules! fpop_ref {
+            ($fault_pc:expr) => {
+                match fpop!($fault_pc).as_ref_nullable()? {
+                    Some(h) => h,
+                    None => throw_builtin!(null_pointer, $fault_pc),
+                }
+            };
+        }
+
+        /// Records a use at `$at` through the site's chain cache.
+        macro_rules! note_use {
+            ($h:expr, $kind:ident, $at:expr, $ic:expr) => {{
+                let ic = Some(&mut ics.chains[$ic as usize]);
+                self.record_use(observer, delivery, $h, UseKind::$kind, $at, ic)
+            }};
+        }
+
+        /// Pushes the callee frame of a call at `$at` (its context through
+        /// the call site's cache) and continues in it.
+        macro_rules! call {
+            ($target:expr, $args:expr, $at:expr, $cic:expr) => {{
+                let target = $target;
+                spill!();
+                let cic = Some(&mut ics.ctxs[$cic as usize]);
+                let stack = pre.methods[target.index()].stack_capacity;
+                self.push_frame(target, $args, Some($at), cic, stack)?;
+                reload!();
+            }};
+        }
+
         /// The inter-step bookkeeping for the second half of a fused pair:
         /// budget check, step count, and dispatch tally, exactly as the
         /// reference performs at the top of the second `step()`.
         macro_rules! fuse_second {
             ($class:expr) => {{
-                if let Some(max) = self.config.max_steps {
-                    if self.steps >= max {
-                        return Err(VmError::StepBudgetExhausted);
-                    }
-                }
-                self.steps += 1;
+                self.charge_step()?;
                 self.dispatch[$class as usize] += 1;
                 pc += 1;
             }};
@@ -1500,24 +1430,17 @@ impl<'p> Vm<'p> {
         }
 
         loop {
-            if let Some(max) = self.config.max_steps {
-                if self.steps >= max {
-                    return Err(VmError::StepBudgetExhausted);
-                }
-            }
-            self.steps += 1;
-            let op = match ops.get(pc) {
-                Some(op) => *op,
-                None => {
-                    return Err(VmError::InvalidBytecode {
-                        method: mid,
-                        pc: pc as u32,
-                        reason: "fell off the end of the method".into(),
-                    })
-                }
+            self.charge_step()?;
+            let insn_pc = pc as u32;
+            let at = At {
+                method: mid,
+                pc: insn_pc,
+                ctx,
+            };
+            let Some(&op) = ops.get(pc) else {
+                return Err(at.invalid("fell off the end of the method".into()));
             };
             self.dispatch[op.class_first() as usize] += 1;
-            let insn_pc = pc as u32;
             pc += 1;
 
             match op {
@@ -1564,13 +1487,7 @@ impl<'p> Vm<'p> {
                     let b = fpop_int!(insn_pc);
                     let a = fpop_int!(insn_pc);
                     if b == 0 {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.arithmetic,
-                                value: None,
-                            },
-                            insn_pc
-                        );
+                        throw_builtin!(arithmetic, insn_pc);
                     }
                     let r = if matches!(op, Op::Div) {
                         a.wrapping_div(b)
@@ -1586,20 +1503,10 @@ impl<'p> Vm<'p> {
                 Op::CmpEq | Op::CmpNe => {
                     let b = fpop!(insn_pc);
                     let a = fpop!(insn_pc);
-                    let eq = match (a, b) {
-                        (Value::Int(x), Value::Int(y)) => x == y,
-                        (Value::Ref(x), Value::Ref(y)) => x == y,
-                        (Value::Null, Value::Null) => true,
-                        (Value::Ref(_), Value::Null) | (Value::Null, Value::Ref(_)) => false,
-                        _ => {
-                            return Err(VmError::TypeMismatch {
-                                expected: "comparable pair",
-                                found: "mixed int/reference",
-                            })
-                        }
-                    };
-                    let want = matches!(op, Op::CmpEq);
-                    frame.stack.push(Value::Int((eq == want) as i64));
+                    let eq = values_equal(a, b)?;
+                    frame
+                        .stack
+                        .push(Value::Int((eq == matches!(op, Op::CmpEq)) as i64));
                 }
                 Op::CmpLt | Op::CmpLe | Op::CmpGt | Op::CmpGe => {
                     let b = fpop_int!(insn_pc);
@@ -1629,254 +1536,62 @@ impl<'p> Vm<'p> {
                     }
                 }
                 Op::New { class, slots, ic } => {
-                    frame.pc = pc as u32;
-                    self.frames.push(frame);
-                    match self.allocate_fast(
-                        ics,
-                        observer,
-                        class,
-                        slots as usize,
-                        false,
-                        mid,
-                        insn_pc,
-                        ctx,
-                        ic,
-                    ) {
-                        Ok(h) => {
-                            self.frames
-                                .last_mut()
-                                .expect("active frame")
-                                .stack
-                                .push(Value::Ref(h));
-                            self.post_alloc_gc(observer)?;
-                        }
-                        Err(t) => self.throw(t, insn_pc)?,
-                    }
+                    spill!();
+                    let ic = Some(&mut ics.chains[ic as usize]);
+                    self.allocate(observer, class, slots as usize, false, at, ic)?;
                     reload!();
                 }
                 Op::NewArray { ic } => {
                     let len = fpop_int!(insn_pc);
                     if len < 0 {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.index_oob,
-                                value: None,
-                            },
-                            insn_pc
-                        );
+                        throw_builtin!(index_oob, insn_pc);
                     }
-                    frame.pc = pc as u32;
-                    self.frames.push(frame);
-                    match self.allocate_fast(
-                        ics,
-                        observer,
-                        self.program.builtins.array,
-                        len as usize,
-                        true,
-                        mid,
-                        insn_pc,
-                        ctx,
-                        ic,
-                    ) {
-                        Ok(h) => {
-                            self.frames
-                                .last_mut()
-                                .expect("active frame")
-                                .stack
-                                .push(Value::Ref(h));
-                            self.post_alloc_gc(observer)?;
-                        }
-                        Err(t) => self.throw(t, insn_pc)?,
-                    }
+                    spill!();
+                    let array = self.program.builtins.array;
+                    let ic = Some(&mut ics.chains[ic as usize]);
+                    self.allocate(observer, array, len as usize, true, at, ic)?;
                     reload!();
                 }
                 Op::GetField { slot, ic } => {
-                    let Some(h) = fpop!(insn_pc).as_ref_nullable()? else {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.null_pointer,
-                                value: None,
-                            },
-                            insn_pc
-                        );
-                    };
-                    self.fast_use(
-                        ics,
-                        observer,
-                        delivery,
-                        h,
-                        UseKind::GetField,
-                        mid,
-                        insn_pc,
-                        ctx,
-                        ic,
-                    );
-                    let obj = self.heap.get(h).ok_or(VmError::InvalidHandle)?;
-                    let v =
-                        *obj.data
-                            .get(slot as usize)
-                            .ok_or_else(|| VmError::InvalidBytecode {
-                                method: mid,
-                                pc: insn_pc,
-                                reason: format!("field slot {slot} out of range"),
-                            })?;
-                    frame.stack.push(v);
+                    let h = fpop_ref!(insn_pc);
+                    note_use!(h, GetField, at, ic);
+                    frame.stack.push(*self.field(h, slot, at)?);
                 }
                 Op::PutField { slot, ic } => {
                     let v = fpop!(insn_pc);
-                    let Some(h) = fpop!(insn_pc).as_ref_nullable()? else {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.null_pointer,
-                                value: None,
-                            },
-                            insn_pc
-                        );
-                    };
-                    self.fast_use(
-                        ics,
-                        observer,
-                        delivery,
-                        h,
-                        UseKind::PutField,
-                        mid,
-                        insn_pc,
-                        ctx,
-                        ic,
-                    );
+                    let h = fpop_ref!(insn_pc);
+                    note_use!(h, PutField, at, ic);
                     self.write_barrier(h, v);
-                    let obj = self.heap.get_mut(h).ok_or(VmError::InvalidHandle)?;
-                    let cell =
-                        obj.data
-                            .get_mut(slot as usize)
-                            .ok_or_else(|| VmError::InvalidBytecode {
-                                method: mid,
-                                pc: insn_pc,
-                                reason: format!("field slot {slot} out of range"),
-                            })?;
-                    *cell = v;
+                    *self.field(h, slot, at)? = v;
                 }
                 Op::ALoad { ic } => {
                     let idx = fpop_int!(insn_pc);
-                    let Some(h) = fpop!(insn_pc).as_ref_nullable()? else {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.null_pointer,
-                                value: None,
-                            },
-                            insn_pc
-                        );
-                    };
-                    self.fast_use(
-                        ics,
-                        observer,
-                        delivery,
-                        h,
-                        UseKind::HandleDeref,
-                        mid,
-                        insn_pc,
-                        ctx,
-                        ic,
-                    );
-                    let obj = self.heap.get(h).ok_or(VmError::InvalidHandle)?;
-                    let v = if idx >= 0 {
-                        obj.data.get(idx as usize).copied()
-                    } else {
-                        None
-                    };
-                    match v {
+                    let h = fpop_ref!(insn_pc);
+                    note_use!(h, HandleDeref, at, ic);
+                    match self.element(h, idx)?.copied() {
                         Some(v) => frame.stack.push(v),
-                        None => fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.index_oob,
-                                value: None,
-                            },
-                            insn_pc
-                        ),
+                        None => throw_builtin!(index_oob, insn_pc),
                     }
                 }
                 Op::AStore { ic } => {
                     let v = fpop!(insn_pc);
                     let idx = fpop_int!(insn_pc);
-                    let Some(h) = fpop!(insn_pc).as_ref_nullable()? else {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.null_pointer,
-                                value: None,
-                            },
-                            insn_pc
-                        );
-                    };
-                    self.fast_use(
-                        ics,
-                        observer,
-                        delivery,
-                        h,
-                        UseKind::HandleDeref,
-                        mid,
-                        insn_pc,
-                        ctx,
-                        ic,
-                    );
+                    let h = fpop_ref!(insn_pc);
+                    note_use!(h, HandleDeref, at, ic);
                     self.write_barrier(h, v);
-                    let stored = {
-                        let obj = self.heap.get_mut(h).ok_or(VmError::InvalidHandle)?;
-                        let cell = if idx >= 0 {
-                            obj.data.get_mut(idx as usize)
-                        } else {
-                            None
-                        };
-                        match cell {
-                            Some(cell) => {
-                                *cell = v;
-                                true
-                            }
-                            None => false,
-                        }
-                    };
-                    if !stored {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.index_oob,
-                                value: None,
-                            },
-                            insn_pc
-                        );
+                    match self.element(h, idx)? {
+                        Some(cell) => *cell = v,
+                        None => throw_builtin!(index_oob, insn_pc),
                     }
                 }
                 Op::ArrayLen { ic } => {
-                    let Some(h) = fpop!(insn_pc).as_ref_nullable()? else {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.null_pointer,
-                                value: None,
-                            },
-                            insn_pc
-                        );
-                    };
-                    self.fast_use(
-                        ics,
-                        observer,
-                        delivery,
-                        h,
-                        UseKind::HandleDeref,
-                        mid,
-                        insn_pc,
-                        ctx,
-                        ic,
-                    );
+                    let h = fpop_ref!(insn_pc);
+                    note_use!(h, HandleDeref, at, ic);
                     let obj = self.heap.get(h).ok_or(VmError::InvalidHandle)?;
                     frame.stack.push(Value::Int(obj.data.len() as i64));
                 }
                 Op::InstanceOf(class) => {
-                    let v = fpop!(insn_pc);
-                    let r = match v.as_ref_nullable()? {
-                        Some(h) => {
-                            let obj = self.heap.get(h).ok_or(VmError::InvalidHandle)?;
-                            self.program.is_subclass(obj.class, class)
-                        }
-                        None => false,
-                    };
+                    let r = self.instance_of(fpop!(insn_pc), class)?;
                     frame.stack.push(Value::Int(r as i64));
                 }
                 Op::GetStatic(s) => {
@@ -1894,41 +1609,14 @@ impl<'p> Vm<'p> {
                     ic,
                     cic,
                 } => {
-                    let nparams = nparams as usize;
-                    if frame.stack.len() < nparams {
-                        return Err(VmError::StackUnderflow {
-                            method: mid,
-                            pc: insn_pc,
-                        });
-                    }
-                    let args: Vec<Value> = frame.stack.split_off(frame.stack.len() - nparams);
+                    let args = pop_args(&mut frame.stack, nparams as usize, at)?;
                     if is_instance {
-                        match args[0].as_ref_nullable()? {
-                            Some(recv) => self.fast_use(
-                                ics,
-                                observer,
-                                delivery,
-                                recv,
-                                UseKind::Invoke,
-                                mid,
-                                insn_pc,
-                                ctx,
-                                ic,
-                            ),
-                            None => fast_throw!(
-                                Thrown {
-                                    class: self.program.builtins.null_pointer,
-                                    value: None,
-                                },
-                                insn_pc
-                            ),
-                        }
+                        let Some(recv) = args[0].as_ref_nullable()? else {
+                            throw_builtin!(null_pointer, insn_pc);
+                        };
+                        note_use!(recv, Invoke, at, ic);
                     }
-                    frame.pc = pc as u32;
-                    let caller_ctx = ctx;
-                    self.frames.push(frame);
-                    self.push_frame_fast(pre, ics, target, args, mid, insn_pc, caller_ctx, cic)?;
-                    reload!();
+                    call!(target, args, at, cic);
                 }
                 Op::CallVirtual {
                     vslot,
@@ -1938,72 +1626,15 @@ impl<'p> Vm<'p> {
                     vic,
                 } => {
                     let total = argc as usize + 1;
-                    if frame.stack.len() < total {
-                        return Err(VmError::StackUnderflow {
-                            method: mid,
-                            pc: insn_pc,
-                        });
-                    }
-                    let args: Vec<Value> = frame.stack.split_off(frame.stack.len() - total);
+                    let args = pop_args(&mut frame.stack, total, at)?;
                     let Some(recv) = args[0].as_ref_nullable()? else {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.null_pointer,
-                                value: None,
-                            },
-                            insn_pc
-                        );
+                        throw_builtin!(null_pointer, insn_pc);
                     };
-                    self.fast_use(
-                        ics,
-                        observer,
-                        delivery,
-                        recv,
-                        UseKind::Invoke,
-                        mid,
-                        insn_pc,
-                        ctx,
-                        ic,
-                    );
+                    note_use!(recv, Invoke, at, ic);
                     let class = self.heap.get(recv).ok_or(VmError::InvalidHandle)?.class;
-                    let vt = &mut ics.vtables[vic as usize];
-                    let target = if vt.class_plus1 == class.index() as u32 + 1 {
-                        vt.target
-                    } else {
-                        let target = self.program.dispatch(class, vslot).ok_or_else(|| {
-                            VmError::InvalidBytecode {
-                                method: mid,
-                                pc: insn_pc,
-                                reason: format!(
-                                    "class {} does not respond to `{}`",
-                                    self.program.classes[class.index()].name,
-                                    self.program.selectors[vslot.index()]
-                                ),
-                            }
-                        })?;
-                        let callee = &self.program.methods[target.index()];
-                        if callee.num_params as usize != total {
-                            return Err(VmError::InvalidBytecode {
-                                method: mid,
-                                pc: insn_pc,
-                                reason: format!(
-                                    "virtual call arity mismatch: {} expects {} params, got {total}",
-                                    self.program.method_name(target),
-                                    callee.num_params
-                                ),
-                            });
-                        }
-                        *vt = VtIc {
-                            class_plus1: class.index() as u32 + 1,
-                            target,
-                        };
-                        target
-                    };
-                    frame.pc = pc as u32;
-                    let caller_ctx = ctx;
-                    self.frames.push(frame);
-                    self.push_frame_fast(pre, ics, target, args, mid, insn_pc, caller_ctx, cic)?;
-                    reload!();
+                    let vic = Some(&mut ics.vtables[vic as usize]);
+                    let target = self.virtual_target(class, vslot, total, at, vic)?;
+                    call!(target, args, at, cic);
                 }
                 Op::Ret | Op::RetVal => {
                     let value = if matches!(op, Op::RetVal) {
@@ -2011,94 +1642,27 @@ impl<'p> Vm<'p> {
                     } else {
                         None
                     };
-                    match frame.kind {
-                        FrameKind::Normal | FrameKind::Finalizer => {
-                            // Finalizer frames never run on this loop
-                            // (`run_nested` drives them through `step()`),
-                            // but mirror the reference either way: a
-                            // finalizer's return value is discarded.
-                            if frame.kind == FrameKind::Normal {
-                                if let (Some(v), Some(caller)) = (value, self.frames.last_mut()) {
-                                    caller.stack.push(v);
-                                }
-                            }
-                            reload!();
-                        }
-                        FrameKind::Entry => return Ok(()),
+                    // Only entry and normal frames reach this loop: see
+                    // `run_nested`.
+                    if self.ret(frame.kind, value) {
+                        return Ok(());
                     }
+                    reload!();
                 }
                 Op::MonitorEnter { ic } => {
-                    let Some(h) = fpop!(insn_pc).as_ref_nullable()? else {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.null_pointer,
-                                value: None,
-                            },
-                            insn_pc
-                        );
-                    };
-                    self.fast_use(
-                        ics,
-                        observer,
-                        delivery,
-                        h,
-                        UseKind::MonitorEnter,
-                        mid,
-                        insn_pc,
-                        ctx,
-                        ic,
-                    );
+                    let h = fpop_ref!(insn_pc);
+                    note_use!(h, MonitorEnter, at, ic);
                     *self.monitors.entry(h).or_insert(0) += 1;
                 }
                 Op::MonitorExit { ic } => {
-                    let Some(h) = fpop!(insn_pc).as_ref_nullable()? else {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.null_pointer,
-                                value: None,
-                            },
-                            insn_pc
-                        );
-                    };
-                    self.fast_use(
-                        ics,
-                        observer,
-                        delivery,
-                        h,
-                        UseKind::MonitorExit,
-                        mid,
-                        insn_pc,
-                        ctx,
-                        ic,
-                    );
-                    match self.monitors.get_mut(&h) {
-                        Some(n) if *n > 0 => {
-                            *n -= 1;
-                            if *n == 0 {
-                                self.monitors.remove(&h);
-                            }
-                        }
-                        _ => return Err(VmError::UnbalancedMonitor),
-                    }
+                    let h = fpop_ref!(insn_pc);
+                    note_use!(h, MonitorExit, at, ic);
+                    self.monitor_exit(h)?;
                 }
                 Op::Throw => {
-                    let Some(h) = fpop!(insn_pc).as_ref_nullable()? else {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.null_pointer,
-                                value: None,
-                            },
-                            insn_pc
-                        );
-                    };
-                    let class = self.heap.get(h).ok_or(VmError::InvalidHandle)?.class;
-                    fast_throw!(
-                        Thrown {
-                            class,
-                            value: Some(h),
-                        },
-                        insn_pc
-                    );
+                    let h = fpop_ref!(insn_pc);
+                    let thrown = self.thrown(h)?;
+                    fast_throw!(thrown, insn_pc);
                 }
                 Op::Print => {
                     let v = fpop!(insn_pc).as_int()?;
@@ -2110,37 +1674,15 @@ impl<'p> Vm<'p> {
                 Op::LoadGetField { local, slot, ic } => {
                     let recv = frame.locals[local as usize];
                     fuse_second!(OpcodeClass::Field);
-                    let gf_pc = insn_pc + 1;
-                    let Some(h) = recv.as_ref_nullable()? else {
-                        fast_throw!(
-                            Thrown {
-                                class: self.program.builtins.null_pointer,
-                                value: None,
-                            },
-                            gf_pc
-                        );
+                    let at = At {
+                        pc: insn_pc + 1,
+                        ..at
                     };
-                    self.fast_use(
-                        ics,
-                        observer,
-                        delivery,
-                        h,
-                        UseKind::GetField,
-                        mid,
-                        gf_pc,
-                        ctx,
-                        ic,
-                    );
-                    let obj = self.heap.get(h).ok_or(VmError::InvalidHandle)?;
-                    let v =
-                        *obj.data
-                            .get(slot as usize)
-                            .ok_or_else(|| VmError::InvalidBytecode {
-                                method: mid,
-                                pc: gf_pc,
-                                reason: format!("field slot {slot} out of range"),
-                            })?;
-                    frame.stack.push(v);
+                    let Some(h) = recv.as_ref_nullable()? else {
+                        throw_builtin!(null_pointer, at.pc);
+                    };
+                    note_use!(h, GetField, at, ic);
+                    frame.stack.push(*self.field(h, slot, at)?);
                 }
                 Op::LoadLoad { a, b } => {
                     let va = frame.locals[a as usize];
@@ -2162,8 +1704,7 @@ impl<'p> Vm<'p> {
                 }
                 Op::PushIntAdd { value } => {
                     fuse_second!(OpcodeClass::Arith);
-                    let add_pc = insn_pc + 1;
-                    let a = fpop!(add_pc).as_int()?;
+                    let a = fpop!(insn_pc + 1).as_int()?;
                     frame.stack.push(Value::Int(a.wrapping_add(value)));
                 }
                 Op::AddStore { local } => {
@@ -2192,6 +1733,33 @@ impl<'p> Vm<'p> {
                 self.heap.remembered.push(target);
             }
         }
+    }
+}
+
+/// `CmpEq` equality: ints by value, references by identity, and null equal
+/// only to null. An int compared with a reference is a type error.
+fn values_equal(a: Value, b: Value) -> Result<bool, VmError> {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => Ok(x == y),
+        (Value::Ref(x), Value::Ref(y)) => Ok(x == y),
+        (Value::Null, Value::Null) => Ok(true),
+        (Value::Ref(_), Value::Null) | (Value::Null, Value::Ref(_)) => Ok(false),
+        _ => Err(VmError::TypeMismatch {
+            expected: "comparable pair",
+            found: "mixed int/reference",
+        }),
+    }
+}
+
+/// Pops the `n` arguments of a call at `at` off `stack`, first argument
+/// first.
+fn pop_args(stack: &mut Vec<Value>, n: usize, at: At) -> Result<Vec<Value>, VmError> {
+    match stack.len().checked_sub(n) {
+        Some(base) => Ok(stack.split_off(base)),
+        None => Err(VmError::StackUnderflow {
+            method: at.method,
+            pc: at.pc,
+        }),
     }
 }
 

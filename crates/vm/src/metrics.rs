@@ -87,10 +87,7 @@ mod tests {
         // flush skips zero tallies, but the series exists from registration.
         assert_eq!(snap.counters["vm_dispatch_total{class=\"stack\"}"], 0);
         assert_eq!(
-            snap.counters[&format!(
-                "vm_dispatch_total{{class=\"{}\"}}",
-                OpcodeClass::Io.name()
-            )],
+            snap.counters[&format!("vm_dispatch_total{{class=\"{}\"}}", OpcodeClass::Io.name())],
             OpcodeClass::Io as u64
         );
     }

@@ -398,7 +398,10 @@ mod tests {
     #[test]
     fn event_builders_populate_fields() {
         let gc = GcEvent::new(100).with_reachable(2048, 3);
-        assert_eq!((gc.time, gc.reachable_bytes, gc.reachable_count), (100, 2048, 3));
+        assert_eq!(
+            (gc.time, gc.reachable_bytes, gc.reachable_count),
+            (100, 2048, 3)
+        );
         let free = FreeEvent::new(ObjectId(9), 7);
         assert!(!free.at_exit);
         let alloc = AllocEvent::new(ObjectId(1), ClassId(2), 24, 48, ChainId(3));

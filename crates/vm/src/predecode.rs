@@ -30,10 +30,8 @@
 //! not suppress fusion: faults are attributed per original pc, so a handler
 //! covering only half of a fused pair behaves exactly as in the reference.
 
-use std::collections::HashMap;
-
 use crate::class::Method;
-use crate::ids::{ChainId, ClassId, MethodId, SiteId, StaticId, VSlot};
+use crate::ids::{ChainId, ClassId, MethodId, StaticId, VSlot};
 use crate::insn::{Insn, OpcodeClass};
 use crate::program::Program;
 
@@ -396,52 +394,6 @@ impl IcState {
     }
 }
 
-/// Interns caller-context vectors (the `site_depth - 1` suffix of event
-/// chains) so fast-path frames carry a single `u32` instead of a `Vec`.
-///
-/// Id 0 is always the empty context. This table is private to the fast
-/// interpreter and never feeds the [`SiteTable`](crate::site::SiteTable)
-/// numbering, so log output is unaffected by it.
-#[derive(Debug, Clone)]
-pub struct CtxTable {
-    list: Vec<Vec<SiteId>>,
-    by_ctx: HashMap<Vec<SiteId>, u32>,
-}
-
-impl Default for CtxTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CtxTable {
-    /// A table containing only the empty context (id 0).
-    pub fn new() -> Self {
-        let mut by_ctx = HashMap::new();
-        by_ctx.insert(Vec::new(), 0);
-        CtxTable {
-            list: vec![Vec::new()],
-            by_ctx,
-        }
-    }
-
-    /// Interns a context, returning its stable id.
-    pub fn intern(&mut self, ctx: Vec<SiteId>) -> u32 {
-        if let Some(&id) = self.by_ctx.get(&ctx) {
-            return id;
-        }
-        let id = self.list.len() as u32;
-        self.list.push(ctx.clone());
-        self.by_ctx.insert(ctx, id);
-        id
-    }
-
-    /// The sites of context `id`, innermost first.
-    pub fn get(&self, id: u32) -> &[SiteId] {
-        &self.list[id as usize]
-    }
-}
-
 /// True if `(a, b)` is a pair the lowering fuses into a superinstruction.
 fn fusable_pair(a: &Insn, b: &Insn) -> bool {
     matches!(
@@ -670,7 +622,8 @@ fn predecode_method(program: &Program, method: &Method, c: &mut IcCounters) -> P
     let mut ops = Vec::with_capacity(n);
     let mut pc = 0;
     while pc < n {
-        let fuse = pc + 1 < n && !barrier[pc + 1] && fusable_pair(&method.code[pc], &method.code[pc + 1]);
+        let fuse =
+            pc + 1 < n && !barrier[pc + 1] && fusable_pair(&method.code[pc], &method.code[pc + 1]);
         if fuse {
             let second = lower(program, &method.code[pc + 1], c);
             ops.push(fuse_pair(&method.code[pc], &second));
@@ -760,16 +713,5 @@ mod tests {
         let p = counted_loop_program();
         let pre = predecode(&p);
         assert!(pre.methods[p.entry.index()].stack_capacity >= 2 + STACK_HEADROOM);
-    }
-
-    #[test]
-    fn ctx_table_interns_stably() {
-        let mut t = CtxTable::new();
-        assert_eq!(t.intern(Vec::new()), 0);
-        let a = t.intern(vec![SiteId(1), SiteId(2)]);
-        let b = t.intern(vec![SiteId(1), SiteId(2)]);
-        assert_eq!(a, b);
-        assert_eq!(t.get(a), &[SiteId(1), SiteId(2)]);
-        assert_ne!(t.intern(vec![SiteId(2)]), a);
     }
 }

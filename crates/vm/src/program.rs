@@ -229,6 +229,12 @@ impl Program {
         }
         for (mi, m) in self.methods.iter().enumerate() {
             let mid = MethodId(mi as u32);
+            if !m.is_static && m.num_params == 0 {
+                return Err(VmError::LinkError(format!(
+                    "instance method {} has no receiver parameter",
+                    self.method_name(mid)
+                )));
+            }
             let len = m.code.len() as u32;
             for (pc, insn) in m.code.iter().enumerate() {
                 let pc = pc as u32;
@@ -243,29 +249,24 @@ impl Program {
                     }
                 }
                 match insn {
-                    Insn::Load(n) | Insn::Store(n)
-                        if *n >= m.num_locals => {
-                            return Err(bad(format!(
-                                "local {n} out of range ({} locals)",
-                                m.num_locals
-                            )));
-                        }
-                    Insn::New(c) | Insn::InstanceOf(c)
-                        if c.index() >= self.classes.len() => {
-                            return Err(bad(format!("unknown class {c}")));
-                        }
-                    Insn::Call(target)
-                        if target.index() >= self.methods.len() => {
-                            return Err(bad(format!("unknown method {target}")));
-                        }
-                    Insn::CallVirtual { vslot, .. }
-                        if vslot.index() >= self.selectors.len() => {
-                            return Err(bad(format!("unknown selector {vslot}")));
-                        }
-                    Insn::GetStatic(s) | Insn::PutStatic(s)
-                        if s.index() >= self.statics.len() => {
-                            return Err(bad(format!("unknown static {s}")));
-                        }
+                    Insn::Load(n) | Insn::Store(n) if *n >= m.num_locals => {
+                        return Err(bad(format!(
+                            "local {n} out of range ({} locals)",
+                            m.num_locals
+                        )));
+                    }
+                    Insn::New(c) | Insn::InstanceOf(c) if c.index() >= self.classes.len() => {
+                        return Err(bad(format!("unknown class {c}")));
+                    }
+                    Insn::Call(target) if target.index() >= self.methods.len() => {
+                        return Err(bad(format!("unknown method {target}")));
+                    }
+                    Insn::CallVirtual { vslot, .. } if vslot.index() >= self.selectors.len() => {
+                        return Err(bad(format!("unknown selector {vslot}")));
+                    }
+                    Insn::GetStatic(s) | Insn::PutStatic(s) if s.index() >= self.statics.len() => {
+                        return Err(bad(format!("unknown static {s}")));
+                    }
                     _ => {}
                 }
             }
@@ -309,7 +310,11 @@ impl Program {
 
     /// The declaring class and [`FieldDef`](crate::class::FieldDef) behind a
     /// layout slot of `class`.
-    pub fn field_at(&self, class: ClassId, slot: u16) -> Option<(ClassId, &crate::class::FieldDef)> {
+    pub fn field_at(
+        &self,
+        class: ClassId,
+        slot: u16,
+    ) -> Option<(ClassId, &crate::class::FieldDef)> {
         let (decl, idx) = *self.classes[class.index()].layout.get(slot as usize)?;
         Some((decl, &self.classes[decl.index()].fields[idx as usize]))
     }
@@ -486,6 +491,19 @@ mod tests {
         main.code = vec![Insn::Load(7), Insn::Ret];
         p.methods.push(main);
         assert!(matches!(p.link(), Err(VmError::InvalidBytecode { .. })));
+    }
+
+    #[test]
+    fn validate_rejects_instance_method_without_receiver() {
+        let mut p = Program::empty();
+        let mut main = Method::new("main", 1, 1);
+        main.code = vec![Insn::Ret];
+        p.methods.push(main);
+        let mut m = Method::new("f", 0, 0);
+        m.is_static = false;
+        m.code = vec![Insn::Ret];
+        p.methods.push(m);
+        assert!(matches!(p.link(), Err(VmError::LinkError(_))));
     }
 
     #[test]

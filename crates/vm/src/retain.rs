@@ -161,7 +161,7 @@ pub struct RetainSample {
 }
 
 /// Mark-time edge tracker and sampler, threaded through
-/// [`collect_full_traced`](crate::gc::collect_full_traced).
+/// [`collect_full`](crate::gc::collect_full).
 ///
 /// The mark loop calls [`note_seed`](Self::note_seed) for every initial
 /// worklist entry, [`note_edge`](Self::note_edge) for every traced

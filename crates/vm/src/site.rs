@@ -107,9 +107,73 @@ impl SiteTable {
     }
 }
 
+/// Interned caller contexts: the call chain a frame runs in, innermost
+/// site first, truncated to `site_depth - 1`, so that every frame carries a
+/// single `u32`. Id 0 is the empty context.
+///
+/// The table is private to the interpreter and never feeds the
+/// [`SiteTable`] numbering, so log output is unaffected by it.
+#[derive(Debug)]
+pub(crate) struct CtxTable {
+    list: Vec<Vec<SiteId>>,
+    by_ctx: HashMap<Vec<SiteId>, u32>,
+    /// The buffer [`CtxTable::extend`] builds in, reused across calls.
+    scratch: Vec<SiteId>,
+}
+
+impl CtxTable {
+    /// A table containing only the empty context (id 0).
+    pub(crate) fn new() -> Self {
+        CtxTable {
+            list: vec![Vec::new()],
+            by_ctx: HashMap::from([(Vec::new(), 0)]),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// `site` followed by the sites of context `ctx`, truncated to `len`.
+    pub(crate) fn extend(&mut self, site: SiteId, ctx: u32, len: usize) -> &[SiteId] {
+        self.scratch.clear();
+        self.scratch.push(site);
+        self.scratch.extend_from_slice(&self.list[ctx as usize]);
+        self.scratch.truncate(len);
+        &self.scratch
+    }
+
+    /// Interns [`extend`](Self::extend)`(site, ctx, len)` as a context,
+    /// returning its stable id.
+    pub(crate) fn intern_extended(&mut self, site: SiteId, ctx: u32, len: usize) -> u32 {
+        self.extend(site, ctx, len);
+        if let Some(&id) = self.by_ctx.get(self.scratch.as_slice()) {
+            return id;
+        }
+        let id = self.list.len() as u32;
+        self.list.push(self.scratch.clone());
+        self.by_ctx.insert(self.scratch.clone(), id);
+        id
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ctx_table_interns_stably() {
+        let mut t = CtxTable::new();
+        let a = t.intern_extended(SiteId(1), 0, 3);
+        let b = t.intern_extended(SiteId(2), a, 3);
+        assert_ne!(a, 0);
+        assert_eq!(t.intern_extended(SiteId(2), a, 3), b);
+        assert_eq!(
+            t.extend(SiteId(3), b, 3),
+            &[SiteId(3), SiteId(2), SiteId(1)]
+        );
+        // Truncation maps different parents to one context.
+        let c = t.intern_extended(SiteId(2), 0, 1);
+        assert_eq!(t.intern_extended(SiteId(2), b, 1), c);
+        assert_eq!(t.intern_extended(SiteId(9), a, 0), 0);
+    }
 
     #[test]
     fn interning_is_idempotent() {

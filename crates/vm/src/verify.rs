@@ -203,7 +203,10 @@ mod tests {
     fn underflow_is_rejected() {
         let p = program_with_main(vec![Insn::Pop, Insn::Ret]);
         let err = verify_program(&p).unwrap_err();
-        assert!(matches!(err, VmError::InvalidBytecode { pc: 0, .. }), "{err}");
+        assert!(
+            matches!(err, VmError::InvalidBytecode { pc: 0, .. }),
+            "{err}"
+        );
         assert!(err.to_string().contains("underflow"));
     }
 
@@ -220,7 +223,10 @@ mod tests {
             Insn::Ret,
         ]);
         let err = verify_program(&p).unwrap_err();
-        assert!(err.to_string().contains("inconsistent stack depth"), "{err}");
+        assert!(
+            err.to_string().contains("inconsistent stack depth"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -35,7 +35,11 @@ fn graph(rng: &mut Rng, max_objects: usize) -> GraphSpec {
     let fields = (0..n).map(|_| rng.range_u8(1, 6)).collect();
     let edges = rng.vec(0, n * 3, |r| (r.range_usize(0, n), r.range_usize(0, n)));
     let roots = rng.vec(0, n.div_ceil(2).max(1), |r| r.range_usize(0, n));
-    GraphSpec { fields, edges, roots }
+    GraphSpec {
+        fields,
+        edges,
+        roots,
+    }
 }
 
 /// Materialises the spec; returns handles in spec order.
@@ -88,7 +92,7 @@ fn full_collection_frees_exactly_the_unreachable() {
         let roots: Vec<Handle> = spec.roots.iter().map(|i| handles[*i]).collect();
         let expected = closure(&spec);
         let mut freed = 0usize;
-        collect_full(&mut heap, &program, &roots, &mut |_| freed += 1);
+        collect_full(&mut heap, &program, &roots, &mut |_| freed += 1, None);
         for (i, h) in handles.iter().enumerate() {
             assert_eq!(
                 heap.get(*h).is_some(),
@@ -109,7 +113,7 @@ fn accounting_stays_consistent_after_collection() {
         let program = test_program();
         let (mut heap, handles) = build_heap(&program, &spec);
         let roots: Vec<Handle> = spec.roots.iter().map(|i| handles[*i]).collect();
-        collect_full(&mut heap, &program, &roots, &mut |_| {});
+        collect_full(&mut heap, &program, &roots, &mut |_| {}, None);
         let live_bytes: u64 = heap.iter().map(|(_, o)| o.size_bytes).sum();
         assert_eq!(heap.live_bytes(), live_bytes);
         assert_eq!(heap.live_count(), heap.iter().count() as u64);
@@ -128,10 +132,16 @@ fn collection_is_idempotent() {
         let program = test_program();
         let (mut heap, handles) = build_heap(&program, &spec);
         let roots: Vec<Handle> = spec.roots.iter().map(|i| handles[*i]).collect();
-        collect_full(&mut heap, &program, &roots, &mut |_| {});
+        collect_full(&mut heap, &program, &roots, &mut |_| {}, None);
         let alive_after_first: Vec<bool> = handles.iter().map(|h| heap.get(*h).is_some()).collect();
         let mut freed_second = 0;
-        collect_full(&mut heap, &program, &roots, &mut |_| freed_second += 1);
+        collect_full(
+            &mut heap,
+            &program,
+            &roots,
+            &mut |_| freed_second += 1,
+            None,
+        );
         assert_eq!(freed_second, 0, "second collection frees nothing");
         for (h, was_alive) in handles.iter().zip(alive_after_first) {
             assert_eq!(heap.get(*h).is_some(), was_alive);

@@ -161,7 +161,10 @@ fn build(spec: &ProgSpec) -> Program {
         // counted loop
         m.push_int(0).store(7);
         m.label("loop");
-        m.load(7).push_int(spec.loop_count as i64).cmpge().branch("loopend");
+        m.load(7)
+            .push_int(spec.loop_count as i64)
+            .cmpge()
+            .branch("loopend");
         emit(&mut m, &spec.loop_body, 3);
         m.load(7).push_int(1).add().store(7);
         m.jump("loop");
@@ -230,12 +233,16 @@ fn gc_configuration_never_changes_output() {
 
 #[test]
 fn assembly_roundtrip_preserves_generated_programs() {
-    check("assembly_roundtrip_preserves_generated_programs", 48, |rng| {
-        let p = build(&prog(rng));
-        let text = disassemble(&p);
-        let p2 = assemble(&text).expect("reassembles");
-        let a = Vm::new(&p, VmConfig::default()).run(&[]).expect("runs");
-        let b = Vm::new(&p2, VmConfig::default()).run(&[]).expect("runs");
-        assert_eq!(a.output, b.output);
-    });
+    check(
+        "assembly_roundtrip_preserves_generated_programs",
+        48,
+        |rng| {
+            let p = build(&prog(rng));
+            let text = disassemble(&p);
+            let p2 = assemble(&text).expect("reassembles");
+            let a = Vm::new(&p, VmConfig::default()).run(&[]).expect("runs");
+            let b = Vm::new(&p2, VmConfig::default()).run(&[]).expect("runs");
+            assert_eq!(a.output, b.output);
+        },
+    );
 }

@@ -325,7 +325,11 @@ fn oom_throws_into_the_program_after_a_forced_gc() {
         ..VmConfig::default()
     };
     let out = Vm::new(&p, config).run(&[]).unwrap();
-    assert_eq!(out.output, vec![-1], "OutOfMemoryError caught by the program");
+    assert_eq!(
+        out.output,
+        vec![-1],
+        "OutOfMemoryError caught by the program"
+    );
 }
 
 #[test]
@@ -408,4 +412,38 @@ fn deep_recursion_overflows_cleanly() {
     let p = b.finish().unwrap();
     let err = Vm::new(&p, VmConfig::default()).run(&[]).unwrap_err();
     assert!(matches!(err, VmError::StackOverflow { .. }));
+}
+
+#[test]
+fn an_unallocatable_array_length_throws_out_of_memory() {
+    // Lengths past Java's `int` array bound throw OutOfMemoryError into the
+    // program whether or not the heap is bounded, under both interpreters;
+    // `i64::MAX` slots would overflow the byte size.
+    for len in [i64::from(i32::MAX) + 1, i64::MAX] {
+        let mut b = ProgramBuilder::new();
+        let main = b.declare_method("main", None, true, 1, 1);
+        {
+            let mut m = b.begin_body(main);
+            m.push_int(len).new_array().pop();
+            m.ret();
+            m.finish();
+        }
+        b.set_entry(main);
+        let p = b.finish().unwrap();
+        for heap_limit in [None, Some(1 << 20)] {
+            for interpreter in [InterpreterKind::Fast, InterpreterKind::Reference] {
+                let config = VmConfig {
+                    heap_limit,
+                    interpreter,
+                    ..VmConfig::default()
+                };
+                let err = Vm::new(&p, config).run(&[]).unwrap_err();
+                assert!(
+                    matches!(&err, VmError::UncaughtException { class_name, .. }
+                        if class_name.contains("OutOfMemory")),
+                    "length {len}, limit {heap_limit:?}, {interpreter:?}: {err}"
+                );
+            }
+        }
+    }
 }

@@ -20,12 +20,12 @@
 //! cases for the unwind machinery.
 
 use heapdrag_vm::builder::ProgramBuilder;
+use heapdrag_vm::class::Visibility;
 use heapdrag_vm::error::VmError;
 use heapdrag_vm::ids::MethodId;
 use heapdrag_vm::interp::{InterpreterKind, RunOutcome, Vm, VmConfig};
 use heapdrag_vm::program::Program;
 use heapdrag_vm::value::Value;
-use heapdrag_vm::class::Visibility;
 
 fn run_both(program: &Program, config: VmConfig) -> Result<RunOutcome, VmError> {
     let fast = Vm::new(
@@ -220,7 +220,13 @@ fn fused_second_half_underflow_matches_reference_attribution() {
     b.set_entry(main);
     let p = b.finish().unwrap();
     let err = run_both(&p, VmConfig::default()).expect_err("underflows");
-    assert_eq!(err, VmError::StackUnderflow { method: main, pc: 1 });
+    assert_eq!(
+        err,
+        VmError::StackUnderflow {
+            method: main,
+            pc: 1
+        }
+    );
 }
 
 #[test]
