@@ -176,13 +176,15 @@ impl DragReport {
         let mut sites: HashMap<ChainId, HashMap<&str, RetainPathEntry>> = HashMap::new();
         for r in retains {
             let paths = sites.entry(r.alloc_site).or_default();
-            let e = paths.entry(r.path.as_str()).or_insert_with(|| RetainPathEntry {
-                path: r.path.clone(),
-                samples: 0,
-                bytes: 0,
-                truncated: false,
-                max_depth: 0,
-            });
+            let e = paths
+                .entry(r.path.as_str())
+                .or_insert_with(|| RetainPathEntry {
+                    path: r.path.clone(),
+                    samples: 0,
+                    bytes: 0,
+                    truncated: false,
+                    max_depth: 0,
+                });
             e.samples += 1;
             e.bytes += r.size;
             e.truncated |= r.truncated;
@@ -222,7 +224,10 @@ impl DragReport {
         g("offline_report_nested_sites", self.by_nested_site.len());
         g("offline_report_coarse_sites", self.by_coarse_site.len());
         g("offline_report_pairs", self.by_alloc_and_last_use.len());
-        g("offline_report_never_used_sites", self.never_used_sites.len());
+        g(
+            "offline_report_never_used_sites",
+            self.never_used_sites.len(),
+        );
         registry
             .gauge("offline_total_drag_bytes2")
             .set(i64::try_from(self.total_drag()).unwrap_or(i64::MAX));
@@ -405,11 +410,17 @@ impl DragAnalyzer {
         } = accum;
 
         let mut by_nested_site: Vec<NestedSiteEntry> =
-            finalize_groups(nested, patterns, |site, stats| NestedSiteEntry { site, stats });
+            finalize_groups(nested, patterns, |site, stats| NestedSiteEntry {
+                site,
+                stats,
+            });
         by_nested_site.sort_by(|a, b| b.stats.drag.cmp(&a.stats.drag).then(a.site.cmp(&b.site)));
 
         let mut by_coarse_site: Vec<CoarseSiteEntry> =
-            finalize_groups(coarse, patterns, |site, stats| CoarseSiteEntry { site, stats });
+            finalize_groups(coarse, patterns, |site, stats| CoarseSiteEntry {
+                site,
+                stats,
+            });
         by_coarse_site.sort_by(|a, b| b.stats.drag.cmp(&a.stats.drag).then(a.site.cmp(&b.site)));
 
         let mut by_alloc_and_last_use: Vec<AllocUsePairEntry> =
@@ -479,9 +490,9 @@ mod tests {
     #[test]
     fn sites_sorted_by_drag() {
         let records = vec![
-            record(1, 0, 0, Some(10), 100, 10),  // drag 900
-            record(2, 1, 0, Some(90), 100, 10),  // drag 100
-            record(3, 2, 0, None, 1000, 100),    // drag 100_000
+            record(1, 0, 0, Some(10), 100, 10), // drag 900
+            record(2, 1, 0, Some(90), 100, 10), // drag 100
+            record(3, 2, 0, None, 1000, 100),   // drag 100_000
         ];
         let report = analyze(&records);
         let order: Vec<u32> = report.by_nested_site.iter().map(|e| e.site.0).collect();

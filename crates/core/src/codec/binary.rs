@@ -141,7 +141,10 @@ impl<W: Write> TraceSink for BinarySink<W> {
         write_varint(&mut self.scratch, r.size);
         write_varint(&mut self.scratch, r.created);
         write_varint(&mut self.scratch, r.freed.wrapping_sub(r.created));
-        push_opt(&mut self.scratch, r.last_use.map(|t| t.wrapping_sub(r.created)));
+        push_opt(
+            &mut self.scratch,
+            r.last_use.map(|t| t.wrapping_sub(r.created)),
+        );
         write_varint(&mut self.scratch, u64::from(r.alloc_site.0));
         push_opt(&mut self.scratch, r.last_use_site.map(|c| u64::from(c.0)));
         write_varint(&mut self.scratch, u64::from(r.at_exit));
@@ -299,7 +302,9 @@ fn decode_obj(f: &RawFrame<'_>) -> Result<ObjectRecord, LogError> {
         size,
         created,
         freed: created.wrapping_add(p.u64_field("freed delta")?),
-        last_use: p.opt_field("last-use delta")?.map(|d| created.wrapping_add(d)),
+        last_use: p
+            .opt_field("last-use delta")?
+            .map(|d| created.wrapping_add(d)),
         alloc_site: ChainId(p.u32_field("alloc chain")?),
         last_use_site: match p.opt_field("use chain")? {
             None => None,
@@ -438,9 +443,13 @@ pub(crate) fn scan(bytes: &[u8], salvage: bool, chunk_records: usize) -> ScanOut
                 let (code, what) = if bytes.len() - (start + 1) >= 10 {
                     (ErrorCode::BadFieldValue, "corrupt frame length prefix")
                 } else {
-                    (ErrorCode::TornTail, "input ends inside a frame length prefix")
+                    (
+                        ErrorCode::TornTail,
+                        "input ends inside a frame length prefix",
+                    )
                 };
-                let mut e = LogError::new(code, n, format!("{what}; dropping the rest of the input"));
+                let mut e =
+                    LogError::new(code, n, format!("{what}; dropping the rest of the input"));
                 e.byte = start as u64;
                 out.note(e, remaining, salvage);
                 break;
@@ -1285,7 +1294,10 @@ mod tests {
         input.extend_from_slice(&vec![0u8; junk]);
 
         let (scanner, _, _) = stream_scan(&input, true, 8192, 4096);
-        assert!(scanner.buffered_bytes() < 8192, "claim must not be buffered");
+        assert!(
+            scanner.buffered_bytes() < 8192,
+            "claim must not be buffered"
+        );
         let e = scanner.state.errors.last().unwrap();
         assert_eq!(e.code, ErrorCode::TornTail);
         let left = (prefix.len() + junk) as u64 - prefix.len() as u64 - 1 + 1;

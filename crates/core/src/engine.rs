@@ -139,7 +139,10 @@ impl ShardAccum {
     where
         F: Fn(ChainId) -> Option<SiteId> + ?Sized,
     {
-        self.nested.entry(r.alloc_site).or_default().add(r, patterns);
+        self.nested
+            .entry(r.alloc_site)
+            .or_default()
+            .add(r, patterns);
         if let Some(s) = innermost(r.alloc_site) {
             self.coarse.entry(s).or_default().add(r, patterns);
         }
@@ -661,7 +664,12 @@ where
     /// it, and returns it so the caller may also retain it (the
     /// `profile --live-window` path still writes a log). Unknown objects
     /// count as unmatched and return `None`.
-    pub fn observe_free(&mut self, object: ObjectId, time: u64, at_exit: bool) -> Option<ObjectRecord> {
+    pub fn observe_free(
+        &mut self,
+        object: ObjectId,
+        time: u64,
+        at_exit: bool,
+    ) -> Option<ObjectRecord> {
         self.clock = self.clock.max(time);
         let live = self.live.as_mut()?;
         let Some(resident) = live.residents.remove(&object) else {
@@ -709,24 +717,25 @@ where
             Some(live) => (live.window, live.cold_after),
             None => (WindowSpec::Unbounded, u64::MAX),
         };
-        let cells: IdMap<ChainId, WindowCell> = match self.live.as_ref().and_then(|l| l.ring.as_ref()) {
-            Some(ring) => ring.in_window(self.clock),
-            None => self
-                .accum
-                .nested
-                .iter()
-                .map(|(site, p)| {
-                    (
-                        *site,
-                        WindowCell {
-                            objects: p.pattern.objects,
-                            bytes: p.bytes,
-                            drag: p.pattern.drag,
-                        },
-                    )
-                })
-                .collect(),
-        };
+        let cells: IdMap<ChainId, WindowCell> =
+            match self.live.as_ref().and_then(|l| l.ring.as_ref()) {
+                Some(ring) => ring.in_window(self.clock),
+                None => self
+                    .accum
+                    .nested
+                    .iter()
+                    .map(|(site, p)| {
+                        (
+                            *site,
+                            WindowCell {
+                                objects: p.pattern.objects,
+                                bytes: p.bytes,
+                                drag: p.pattern.drag,
+                            },
+                        )
+                    })
+                    .collect(),
+            };
         let mut sites: Vec<SnapshotSite> = cells
             .into_iter()
             .map(|(site, c)| SnapshotSite {
@@ -913,7 +922,10 @@ mod tests {
         }
     }
 
-    fn live_engine(window: WindowSpec, cold_after: u64) -> DragEngine<fn(ChainId) -> Option<SiteId>> {
+    fn live_engine(
+        window: WindowSpec,
+        cold_after: u64,
+    ) -> DragEngine<fn(ChainId) -> Option<SiteId>> {
         DragEngine::live(
             EngineConfig {
                 patterns: PatternConfig::default(),

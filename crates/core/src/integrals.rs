@@ -65,8 +65,8 @@ mod tests {
     #[test]
     fn integrals_sum_products() {
         let records = vec![
-            record(0, Some(50), 100, 10),  // reach 1000, in-use 500
-            record(20, None, 120, 4),      // reach 400, in-use 0
+            record(0, Some(50), 100, 10), // reach 1000, in-use 500
+            record(20, None, 120, 4),     // reach 400, in-use 0
         ];
         let i = Integrals::from_records(&records);
         assert_eq!(i.reachable, 1400);

@@ -91,21 +91,19 @@ pub use engine::{
     ColdSite, DragEngine, EngineConfig, EngineSnapshot, IdleHistogram, SiteIdleSummary,
     SnapshotSite, WindowSpec,
 };
-pub use live::{run_live, LiveOptions, LiveRun};
 pub use histogram::{Buckets, LifetimeHistogram};
 pub use integrals::Integrals;
-pub use log::{
-    ErrorCode, IngestConfig, IngestMode, Ingested, LogError, ParsedLog, SalvageSummary,
-};
+pub use live::{run_live, LiveOptions, LiveRun};
+pub use log::{ErrorCode, IngestConfig, IngestMode, Ingested, LogError, ParsedLog, SalvageSummary};
 pub use parallel::{ParallelConfig, ParallelMetrics, ShardMetrics};
-pub use pipeline::{Pipeline, PipelineError, StreamReport};
 pub use pattern::{LifetimePattern, PatternConfig, TransformKind};
+pub use pipeline::{Pipeline, PipelineError, StreamReport};
 pub use profiler::{profile, profile_with, DragProfiler, ProfileRun, ProfilerMetrics};
 pub use record::{GcSample, ObjectRecord, RetainRecord};
 pub use report::{anchor_site, ChainNamer, ProgramNamer, ReportSections};
 pub use serve::{
-    ServeConfig, ServeManager, SessionId, SessionSource, SessionSpec, SessionState,
-    SessionSummary, WorkerPool,
+    ServeConfig, ServeManager, SessionId, SessionSource, SessionSpec, SessionState, SessionSummary,
+    WorkerPool,
 };
 pub use stream::StreamStats;
 pub use timeline::{Timeline, TimelinePoint};

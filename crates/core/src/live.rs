@@ -250,7 +250,12 @@ fn consume<S: FnMut(&str)>(
             last_mark = mark;
             *snapshots += 1;
             let dropped = shared.dropped.load(Ordering::Relaxed);
-            on_snapshot(&render_snapshot(&engine.snapshot(), *snapshots, dropped, top));
+            on_snapshot(&render_snapshot(
+                &engine.snapshot(),
+                *snapshots,
+                dropped,
+                top,
+            ));
         }
     };
 

@@ -388,12 +388,7 @@ impl SalvageSummary {
         if !self.errors_by_code.is_empty() {
             out.push_str("errors by code:\n");
             for (code, n) in &self.errors_by_code {
-                out.push_str(&format!(
-                    "  {} {:<20} {}\n",
-                    code,
-                    code.name(),
-                    n
-                ));
+                out.push_str(&format!("  {} {:<20} {}\n", code, code.name(), n));
             }
         }
         if !self.first_errors.is_empty() {
@@ -545,11 +540,7 @@ pub(crate) fn write_run_to<W: io::Write>(
 
 /// Drives a [`TraceSink`] through a complete run: preamble, deduplicated
 /// chain table, records, samples, end marker.
-fn drive_sink<S: TraceSink>(
-    run: &ProfileRun,
-    program: &Program,
-    sink: &mut S,
-) -> io::Result<()> {
+fn drive_sink<S: TraceSink>(run: &ProfileRun, program: &Program, sink: &mut S) -> io::Result<()> {
     sink.begin()?;
     // Mark every chain a record or retain sample names, then emit the
     // marked ones in ascending id order.
@@ -722,10 +713,7 @@ mod tests {
         assert_eq!(ing.salvage.lines_dropped, 2);
         assert_eq!(ing.salvage.records_kept, 1);
         assert_eq!(ing.salvage.errors_by_code[&ErrorCode::BadFieldValue], 1);
-        assert_eq!(
-            ing.salvage.errors_by_code[&ErrorCode::UnknownDirective],
-            1
-        );
+        assert_eq!(ing.salvage.errors_by_code[&ErrorCode::UnknownDirective], 1);
         assert_eq!(ing.salvage.total_errors(), 2);
         assert!(!ing.salvage.is_clean());
         assert_eq!(ing.salvage.first_errors.len(), 2);
@@ -814,8 +802,16 @@ mod tests {
                 8 + (i % 13) * 8,
                 i * 3,
                 i * 3 + 500,
-                if i % 4 == 0 { "-".to_string() } else { (i * 3 + 100).to_string() },
-                if i % 4 == 0 { "-".to_string() } else { "0".to_string() },
+                if i % 4 == 0 {
+                    "-".to_string()
+                } else {
+                    (i * 3 + 100).to_string()
+                },
+                if i % 4 == 0 {
+                    "-".to_string()
+                } else {
+                    "0".to_string()
+                },
                 i % 2,
             ));
             if i % 50 == 0 {
@@ -895,8 +891,8 @@ mod tests {
         lines[41] = "obj 9 torn-val";
         lines[99] = "garbage directive";
         text = lines.join("\n"); // also tears the final line
-        // Chunk indices in errors depend on `chunk_records` (the scan
-        // decides chunking), so the baseline pins the same chunk size.
+                                 // Chunk indices in errors depend on `chunk_records` (the scan
+                                 // decides chunking), so the baseline pins the same chunk size.
         let baseline = ingest(
             &text,
             &ParallelConfig {

@@ -188,7 +188,10 @@ mod tests {
         assert_eq!(c.effective_shards(3), 3);
         assert_eq!(c.effective_shards(100), 8);
         assert_eq!(c.effective_shards(0), 1);
-        let z = ParallelConfig { shards: 0, chunk_records: 0 };
+        let z = ParallelConfig {
+            shards: 0,
+            chunk_records: 0,
+        };
         assert_eq!(z.effective_shards(10), 1);
         assert_eq!(z.effective_chunk(), 1);
     }
@@ -197,8 +200,20 @@ mod tests {
     fn metrics_aggregate() {
         let m = ParallelMetrics {
             shards: vec![
-                ShardMetrics { shard: 0, records: 10, samples: 1, groups: 4, elapsed: Duration::from_millis(5) },
-                ShardMetrics { shard: 1, records: 20, samples: 0, groups: 6, elapsed: Duration::from_millis(9) },
+                ShardMetrics {
+                    shard: 0,
+                    records: 10,
+                    samples: 1,
+                    groups: 4,
+                    elapsed: Duration::from_millis(5),
+                },
+                ShardMetrics {
+                    shard: 1,
+                    records: 20,
+                    samples: 0,
+                    groups: 6,
+                    elapsed: Duration::from_millis(9),
+                },
             ],
             ..Default::default()
         };
@@ -213,8 +228,20 @@ mod tests {
     fn publish_writes_stage_prefixed_metrics() {
         let m = ParallelMetrics {
             shards: vec![
-                ShardMetrics { shard: 0, records: 10, samples: 1, groups: 4, elapsed: Duration::from_micros(5) },
-                ShardMetrics { shard: 1, records: 20, samples: 0, groups: 6, elapsed: Duration::from_micros(9) },
+                ShardMetrics {
+                    shard: 0,
+                    records: 10,
+                    samples: 1,
+                    groups: 4,
+                    elapsed: Duration::from_micros(5),
+                },
+                ShardMetrics {
+                    shard: 1,
+                    records: 20,
+                    samples: 0,
+                    groups: 6,
+                    elapsed: Duration::from_micros(9),
+                },
             ],
             split_elapsed: Duration::from_micros(2),
             merge_elapsed: Duration::from_micros(3),

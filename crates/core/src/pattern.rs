@@ -263,8 +263,9 @@ mod tests {
     fn pattern_three_uniform_large_drag() {
         // Every object in-use for half its life, dragged the other half
         // (times far beyond the constructor window).
-        let rs: Vec<ObjectRecord> =
-            (0..10).map(|i| record(i, Some(i + 50_000), i + 100_000)).collect();
+        let rs: Vec<ObjectRecord> = (0..10)
+            .map(|i| record(i, Some(i + 50_000), i + 100_000))
+            .collect();
         assert_eq!(classify_owned(&rs), LifetimePattern::MostlyLargeDrag);
         assert_eq!(
             LifetimePattern::MostlyLargeDrag.suggested_transform(),
@@ -275,8 +276,9 @@ mod tests {
     #[test]
     fn pattern_four_high_variance() {
         // Mostly tiny drags with a couple of enormous ones → high CV.
-        let mut rs: Vec<ObjectRecord> =
-            (0..20).map(|i| record(i, Some(i + 99_000), i + 100_000)).collect();
+        let mut rs: Vec<ObjectRecord> = (0..20)
+            .map(|i| record(i, Some(i + 99_000), i + 100_000))
+            .collect();
         rs.push(record(0, Some(10_000), 100_000_000));
         rs.push(record(0, Some(10_000), 100_000_000));
         assert_eq!(classify_owned(&rs), LifetimePattern::HighVariance);
@@ -288,7 +290,10 @@ mod tests {
 
     #[test]
     fn empty_group_is_mixed() {
-        assert_eq!(classify(&[], &PatternConfig::default()), LifetimePattern::Mixed);
+        assert_eq!(
+            classify(&[], &PatternConfig::default()),
+            LifetimePattern::Mixed
+        );
     }
 
     #[test]

@@ -433,8 +433,7 @@ impl Pipeline {
     {
         let fold = DragEngine::offline(self.analyzer.config().patterns, innermost);
         let out = stream::run(reader, &self.par, &self.ingest, fold, pool)?;
-        let (accum, records, alloc_bytes, at_exit, samples, retains) =
-            out.fold.into_fold_parts();
+        let (accum, records, alloc_bytes, at_exit, samples, retains) = out.fold.into_fold_parts();
         Ok(AnalyzePartials {
             accum,
             records,
@@ -499,7 +498,8 @@ impl Pipeline {
     where
         F: Fn(ChainId) -> Option<SiteId> + Sync,
     {
-        self.analyzer.analyze_sharded_impl(records, innermost, &self.par)
+        self.analyzer
+            .analyze_sharded_impl(records, innermost, &self.par)
     }
 
     /// Sequential analysis of a record slice (resolvers need not be
@@ -554,7 +554,8 @@ mod tests {
         let write = |sink: &mut dyn TraceSink| {
             sink.begin().unwrap();
             for c in 0..5u32 {
-                sink.chain(ChainId(c), &format!("method{c} (file.java:{c})")).unwrap();
+                sink.chain(ChainId(c), &format!("method{c} (file.java:{c})"))
+                    .unwrap();
             }
             for (i, r) in records.iter().enumerate() {
                 sink.record(r).unwrap();
@@ -585,11 +586,13 @@ mod tests {
                 let bytes = sample_log(format, end);
                 let pipe = Pipeline::options().shards(3).chunk_records(7).salvage(None);
                 let ingested = pipe.ingest_bytes(&bytes).unwrap();
-                let (expect_report, _) = pipe.analyze_records(&ingested.log.records, |c| {
-                    Some(SiteId(c.0))
-                });
+                let (expect_report, _) =
+                    pipe.analyze_records(&ingested.log.records, |c| Some(SiteId(c.0)));
                 let streamed = pipe.analyze_reader(&bytes[..]).unwrap();
-                assert_eq!(streamed.report, expect_report, "format {format:?} end {end}");
+                assert_eq!(
+                    streamed.report, expect_report,
+                    "format {format:?} end {end}"
+                );
                 assert_eq!(streamed.salvage, ingested.salvage);
                 assert_eq!(streamed.end_time, ingested.log.end_time);
                 assert_eq!(streamed.records, ingested.log.records.len() as u64);
@@ -626,7 +629,10 @@ mod tests {
 
     #[test]
     fn builder_is_plain_data() {
-        let p = Pipeline::options().shards(8).chunk_records(64).salvage(Some(3));
+        let p = Pipeline::options()
+            .shards(8)
+            .chunk_records(64)
+            .salvage(Some(3));
         assert_eq!(p.parallel_config().shards, 8);
         assert_eq!(p.parallel_config().chunk_records, 64);
         assert!(p.ingest_config().is_salvage());

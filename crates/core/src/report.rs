@@ -237,8 +237,7 @@ impl<'a> ReportSections<'a> {
         if self.report.retaining.is_empty() {
             return String::new();
         }
-        let mut out =
-            String::from("--- retaining paths: sampled holders at deep-GC marks ---\n");
+        let mut out = String::from("--- retaining paths: sampled holders at deep-GC marks ---\n");
         for e in self.report.retaining.iter().take(self.top) {
             out.push_str(&format!(
                 "{}: {} sample(s), {} sampled bytes\n",
@@ -340,7 +339,9 @@ mod tests {
     #[test]
     fn render_empty_report() {
         let report = DragAnalyzer::new().analyze(&[], |c| Some(SiteId(c.0)));
-        let text = ReportSections::standard(&report, &FixedNamer).top(5).render();
+        let text = ReportSections::standard(&report, &FixedNamer)
+            .top(5)
+            .render();
         assert!(text.contains("drag report"));
         assert!(!text.contains("sure bets"));
     }

@@ -209,9 +209,8 @@ impl WorkerPool {
             // same argument `std::thread::scope` makes; the transmute
             // only erases the lifetime, the layout of the boxed trait
             // object is unchanged.
-            let job: Job = unsafe {
-                std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job)
-            };
+            let job: Job =
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
             let latch = Arc::clone(&latch);
             let inner = Arc::clone(&self.inner);
             self.execute(Box::new(move || {
@@ -314,7 +313,11 @@ mod tests {
             }));
         }
         pool.shutdown();
-        assert_eq!(hits.load(Ordering::Relaxed), 50, "jobs after the panic still ran");
+        assert_eq!(
+            hits.load(Ordering::Relaxed),
+            50,
+            "jobs after the panic still ran"
+        );
         assert_eq!(pool.panics(), 1);
         assert_eq!(pool.jobs_run(), 51);
     }
@@ -369,10 +372,8 @@ mod tests {
         // reads a stale count.
         let pool = WorkerPool::new(2);
         for round in 1..=200u64 {
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-                Box::new(|| panic!("bad shard")),
-                Box::new(|| {}),
-            ];
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> =
+                vec![Box::new(|| panic!("bad shard")), Box::new(|| {})];
             pool.scope(jobs);
             assert_eq!(pool.panics(), round, "round {round}");
         }

@@ -369,7 +369,9 @@ impl ServeManager {
     /// Starts a manager: spawns the decode pool and the driver threads.
     pub fn new(config: ServeConfig) -> Self {
         let metrics = Metrics::new(&config.registry);
-        metrics.budget.set(i64::try_from(config.budget_chunks).unwrap_or(i64::MAX));
+        metrics
+            .budget
+            .set(i64::try_from(config.budget_chunks).unwrap_or(i64::MAX));
         let pool = WorkerPool::new(config.pool_workers);
         metrics.pool_workers.set(pool.workers() as i64);
         let shared = Arc::new(Shared {
@@ -460,7 +462,10 @@ impl ServeManager {
             session.state = SessionState::Rejected;
             session.finished_at = Some(session.submitted_at);
             session.source = None;
-            respond(&mut session.responder, &format!("error: rejected: {reason}\n"));
+            respond(
+                &mut session.responder,
+                &format!("error: rejected: {reason}\n"),
+            );
             session.error = Some(reason);
             st.sessions.insert(id, session);
             return SessionId(id);
@@ -628,8 +633,10 @@ impl ServeManager {
         let m = &self.shared.metrics;
         let pool = &self.shared.pool;
         m.pool_busy_peak.set(pool.busy_peak() as i64);
-        m.pool_jobs.set(i64::try_from(pool.jobs_run()).unwrap_or(i64::MAX));
-        m.pool_panics.set(i64::try_from(pool.panics()).unwrap_or(i64::MAX));
+        m.pool_jobs
+            .set(i64::try_from(pool.jobs_run()).unwrap_or(i64::MAX));
+        m.pool_panics
+            .set(i64::try_from(pool.panics()).unwrap_or(i64::MAX));
     }
 
     /// Graceful shutdown: refuses new submissions, drains the queue
@@ -801,7 +808,8 @@ fn finish_session(
     st.reserved -= cost;
     st.running -= 1;
     m.active.set(st.running as i64);
-    m.inflight.set(i64::try_from(st.reserved).unwrap_or(i64::MAX));
+    m.inflight
+        .set(i64::try_from(st.reserved).unwrap_or(i64::MAX));
     drop(st);
     shared.cond.notify_all();
 }
@@ -871,12 +879,18 @@ mod tests {
             SessionSpec::new("big", SessionSource::Bytes(tiny_trace(5)))
                 .pipeline(Pipeline::options().shards(16)),
         );
-        let small = manager.submit(SessionSpec::new("small", SessionSource::Bytes(tiny_trace(5))));
+        let small = manager.submit(SessionSpec::new(
+            "small",
+            SessionSource::Bytes(tiny_trace(5)),
+        ));
         assert_eq!(manager.state(big), Some(SessionState::Rejected));
         manager.wait_idle();
         assert_eq!(manager.state(small), Some(SessionState::Completed));
         let snap = manager.registry().snapshot();
-        assert_eq!(snap.counters["heapdrag_serve_admission_rejections_total"], 1);
+        assert_eq!(
+            snap.counters["heapdrag_serve_admission_rejections_total"],
+            1
+        );
         assert_eq!(snap.counters["heapdrag_serve_sessions_submitted_total"], 2);
     }
 
@@ -887,7 +901,10 @@ mod tests {
             "bad",
             SessionSource::Bytes(b"heapdrag-log v1\ngarbage line\nend 5\n".to_vec()),
         ));
-        let good = manager.submit(SessionSpec::new("good", SessionSource::Bytes(tiny_trace(8))));
+        let good = manager.submit(SessionSpec::new(
+            "good",
+            SessionSource::Bytes(tiny_trace(8)),
+        ));
         manager.wait_idle();
         assert_eq!(manager.state(bad), Some(SessionState::Failed));
         assert_eq!(manager.state(good), Some(SessionState::Completed));
@@ -940,9 +957,15 @@ mod tests {
         let manager = ServeManager::new(config(1, 1, 8));
         let first = manager.submit(SessionSpec::new(
             "stalling",
-            SessionSource::Reader(Box::new(StallReader { sent: false, gate: rx })),
+            SessionSource::Reader(Box::new(StallReader {
+                sent: false,
+                gate: rx,
+            })),
         ));
-        let second = manager.submit(SessionSpec::new("queued", SessionSource::Bytes(tiny_trace(4))));
+        let second = manager.submit(SessionSpec::new(
+            "queued",
+            SessionSource::Bytes(tiny_trace(4)),
+        ));
         // Wait until the first session is actually running.
         while manager.state(first) != Some(SessionState::Running) {
             std::thread::yield_now();

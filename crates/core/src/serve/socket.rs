@@ -92,7 +92,10 @@ fn render_sessions(manager: &ServeManager) -> String {
             s.queued_for.as_millis(),
             s.running_for.as_millis(),
             s.name,
-            s.error.as_deref().map(|e| format!("\t({e})")).unwrap_or_default(),
+            s.error
+                .as_deref()
+                .map(|e| format!("\t({e})"))
+                .unwrap_or_default(),
         ));
     }
     out

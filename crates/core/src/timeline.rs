@@ -114,7 +114,8 @@ impl Timeline {
         let width = self.points.len();
         let mut rows = vec![vec![b' '; width]; height];
         for (x, p) in self.points.iter().enumerate() {
-            let scale = |v: u64| ((v as f64 / peak as f64) * (height as f64 - 1.0)).round() as usize;
+            let scale =
+                |v: u64| ((v as f64 / peak as f64) * (height as f64 - 1.0)).round() as usize;
             let ry = scale(p.reachable);
             let iy = scale(p.in_use);
             rows[height - 1 - ry][x] = b'#';

@@ -77,7 +77,10 @@ mod tests {
 
     #[test]
     fn addition_carries_between_limbs() {
-        let mut x = U256 { hi: 0, lo: u128::MAX };
+        let mut x = U256 {
+            hi: 0,
+            lo: u128::MAX,
+        };
         x.add_assign(U256 { hi: 0, lo: 1 });
         assert_eq!(x, U256 { hi: 1, lo: 0 });
     }

@@ -13,12 +13,16 @@ use heapdrag_vm::{Program, ProgramBuilder, SiteId};
 
 fn text_log(run: &heapdrag_core::ProfileRun, program: &Program) -> String {
     let mut buf = Vec::new();
-    Pipeline::options().write_to(run, program, &mut buf).expect("writes");
+    Pipeline::options()
+        .write_to(run, program, &mut buf)
+        .expect("writes");
     String::from_utf8(buf).expect("text log is utf-8")
 }
 
 fn pipeline_at(par: &ParallelConfig) -> Pipeline {
-    Pipeline::options().shards(par.shards).chunk_records(par.chunk_records)
+    Pipeline::options()
+        .shards(par.shards)
+        .chunk_records(par.chunk_records)
 }
 
 fn parse_at(text: &str, par: &ParallelConfig) -> Result<heapdrag_core::Ingested, LogError> {
@@ -82,7 +86,11 @@ fn workload_report_is_identical_across_shard_counts() {
         let report = analyze_at(&text, &par);
         // Spot-check the facets named in the acceptance criteria before the
         // full structural equality: totals, classification, ordering.
-        assert_eq!(report.total_drag(), baseline.total_drag(), "shards = {shards}");
+        assert_eq!(
+            report.total_drag(),
+            baseline.total_drag(),
+            "shards = {shards}"
+        );
         let patterns: Vec<_> = report
             .by_nested_site
             .iter()
@@ -102,8 +110,7 @@ fn workload_report_is_identical_across_shard_counts() {
 fn random_records_report_is_identical_across_shard_counts() {
     check("random_records_parity", 48, |rng: &mut Rng| {
         let records = random_records(rng);
-        let sequential =
-            DragAnalyzer::new().analyze(&records, |c| Some(SiteId(c.0)));
+        let sequential = DragAnalyzer::new().analyze(&records, |c| Some(SiteId(c.0)));
         for shards in [1usize, 2, 8] {
             let (report, _) = Pipeline::options()
                 .shards(shards)
