@@ -17,7 +17,11 @@
 //! count. The codec-specific pieces are the incremental *scanner* (walk
 //! the input once on the coordinating thread, batching record payloads
 //! into owned chunks at line or frame boundaries) and the *chunk
-//! decode* (run on worker threads).
+//! decode* (run on worker threads). The text scanner copies record lines
+//! into a chunk as it finds them, tagged with their directive
+//! (`LineMeta`), and the text decoder parses each line straight from
+//! those bytes, keeping the whitespace-split ladder for any line not in
+//! the encoder's shape.
 //!
 //! Each codec also keeps, in its tests only, a whole-input `scan` over
 //! one borrowed buffer. It is the reference the incremental scanner is
@@ -265,7 +269,7 @@ pub(crate) struct ChunkOut {
 #[derive(Debug)]
 pub(crate) enum Chunk<'a> {
     /// Text `obj`/`gc`/`retain` lines.
-    Lines(Vec<text::RawLine<'a>>),
+    Lines(Vec<text::reference::RawLine<'a>>),
     /// Binary `obj`/`gc`/`retain` frames.
     Frames(Vec<binary::RawFrame<'a>>),
 }
@@ -276,7 +280,7 @@ impl Chunk<'_> {
     pub(crate) fn decode(&self, index: usize, salvage: bool) -> (ChunkOut, ShardMetrics) {
         let t = Instant::now();
         let out = match self {
-            Chunk::Lines(lines) => text::parse_chunk(lines, index, salvage),
+            Chunk::Lines(lines) => text::reference::parse_chunk(lines, index, salvage),
             Chunk::Frames(frames) => binary::parse_chunk(frames, index, salvage),
         };
         let m = ShardMetrics {
@@ -291,32 +295,52 @@ impl Chunk<'_> {
 }
 
 /// One record-bearing line batched by the text [`text::StreamScanner`]:
-/// where it sat in the input plus its extent in the owning
-/// [`OwnedLines::buf`].
+/// where it sat in the input, which directive it carries, and its extent
+/// in the owning [`OwnedLines::buf`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LineMeta {
     /// 1-based line number.
     pub(crate) line: usize,
     /// Byte offset of the line start, in lossy-decoded coordinates.
     pub(crate) byte: u64,
-    /// Raw byte length, terminator included.
-    pub(crate) len: u64,
+    /// The directive, as the scanner classified it.
+    pub(crate) kind: text::LineKind,
     /// Extent of the line content (terminator excluded) in `buf`.
     pub(crate) start: usize,
     /// One past the end of the line content in `buf`.
     pub(crate) end: usize,
 }
 
-/// An owned batch of `obj`/`gc` text lines: the contents are copied into
-/// one contiguous buffer so the chunk can cross a channel to a worker
-/// thread without borrowing the input, which the streaming reader has
-/// already thrown away.
+impl LineMeta {
+    /// The line's length in lossy-decoded input bytes, terminator
+    /// included: the stored content is the lossy decoding of the line.
+    pub(crate) fn len(&self) -> u64 {
+        (self.end - self.start) as u64 + 1
+    }
+}
+
+/// An owned batch of `obj`/`gc`/`retain` text lines: the contents are
+/// copied into one contiguous buffer so the chunk can cross a channel to
+/// a worker thread without borrowing the input, which the streaming
+/// reader has already thrown away.
 #[derive(Debug, Default)]
 pub(crate) struct OwnedLines {
-    /// Concatenated line contents, terminators excluded.
-    pub(crate) buf: String,
+    /// Concatenated line contents, terminators excluded: each line as it
+    /// was read when it is valid UTF-8, lossy-decoded otherwise.
+    pub(crate) buf: Vec<u8>,
     /// One entry per line, in input order.
     pub(crate) metas: Vec<LineMeta>,
+}
+
+impl OwnedLines {
+    /// An empty batch with room for as much as `full` holds, so the next
+    /// chunk of a trace fills without regrowing.
+    pub(crate) fn with_capacity_of(full: &OwnedLines) -> Self {
+        OwnedLines {
+            buf: Vec::with_capacity(full.buf.len()),
+            metas: Vec::with_capacity(full.metas.len()),
+        }
+    }
 }
 
 /// One record-bearing frame batched by the binary
@@ -353,8 +377,8 @@ pub(crate) struct OwnedFrames {
 /// One parse work-unit: a batch of record-bearing lines (text) or frames
 /// (binary), cut at line/frame boundaries by the incremental scanners
 /// behind [`crate::stream`] so workers never search the input for
-/// delimiters. Decoding rebuilds borrowed `RawLine`/`RawFrame` views over
-/// the owned buffer and runs the codec's `parse_chunk`.
+/// delimiters. Text chunks decode straight from their buffer; binary
+/// decoding rebuilds borrowed `RawFrame` views over it first.
 #[derive(Debug)]
 pub(crate) enum OwnedChunk {
     /// Text `obj`/`gc`/`retain` lines.
@@ -392,7 +416,7 @@ impl OwnedChunk {
     /// envelopes are not copied).
     pub(crate) fn byte_len(&self) -> u64 {
         match self {
-            OwnedChunk::Lines(c) => c.metas.iter().map(|m| m.len).sum(),
+            OwnedChunk::Lines(c) => c.metas.iter().map(LineMeta::len).sum(),
             OwnedChunk::Frames(c) => c.metas.iter().map(|m| m.len).sum(),
         }
     }
@@ -402,21 +426,7 @@ impl OwnedChunk {
     pub(crate) fn decode(&self, index: usize, salvage: bool) -> (ChunkOut, ShardMetrics) {
         let t = Instant::now();
         let out = match self {
-            OwnedChunk::Lines(c) => {
-                let views: Vec<text::RawLine<'_>> = c
-                    .metas
-                    .iter()
-                    .map(|m| text::RawLine {
-                        line: m.line,
-                        byte: m.byte,
-                        len: m.len,
-                        text: &c.buf[m.start..m.end],
-                        #[cfg(test)]
-                        terminated: true,
-                    })
-                    .collect();
-                text::parse_chunk(&views, index, salvage)
-            }
+            OwnedChunk::Lines(c) => text::parse_chunk(c, index, salvage),
             OwnedChunk::Frames(c) => {
                 let views: Vec<binary::RawFrame<'_>> = c
                     .metas
