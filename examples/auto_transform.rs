@@ -12,9 +12,10 @@ use heapdrag::transform::optimizer::{optimize_iteratively, OptimizerOptions};
 use heapdrag::workloads::workload_by_name;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "raytrace".to_string());
-    let workload =
-        workload_by_name(&name).ok_or_else(|| format!("unknown workload `{name}`"))?;
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "raytrace".to_string());
+    let workload = workload_by_name(&name).ok_or_else(|| format!("unknown workload `{name}`"))?;
     let input = (workload.default_input)();
     let original = workload.original();
 

@@ -36,7 +36,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // log carries chain names rather than the site table, so the default
     // resolver treats each chain as its own coarse site.
     let streamed = Pipeline::options().analyze_reader(std::fs::File::open(&log_path)?)?;
-    println!("\n{}", ReportSections::standard(&streamed.report, &streamed).top(top).render());
+    println!(
+        "\n{}",
+        ReportSections::standard(&streamed.report, &streamed)
+            .top(top)
+            .render()
+    );
     println!(
         "manual rewriting for {name} (Table 5): {} ({})",
         workload.rewriting, workload.reference_kinds

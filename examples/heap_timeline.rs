@@ -9,9 +9,10 @@ use heapdrag::core::{profile, Timeline, VmConfig};
 use heapdrag::workloads::workload_by_name;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "euler".to_string());
-    let workload = workload_by_name(&name)
-        .ok_or_else(|| format!("unknown workload `{name}`"))?;
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "euler".to_string());
+    let workload = workload_by_name(&name).ok_or_else(|| format!("unknown workload `{name}`"))?;
     let input = (workload.default_input)();
     let mut config = VmConfig::profiling();
     config.deep_gc_interval = Some(16 * 1024); // fine sampling for display

@@ -57,7 +57,11 @@ fn main() -> ExitCode {
         let a = lookup(&online, key);
         let b = lookup(&offline, key);
         let fmt = |v: Option<i64>| v.map_or("<missing>".to_string(), |v| v.to_string());
-        let mark = if a.is_some() && a == b { "" } else { "  <- MISMATCH" };
+        let mark = if a.is_some() && a == b {
+            ""
+        } else {
+            "  <- MISMATCH"
+        };
         if mark.is_empty() {
             println!("{key:<36} {:>14} {:>14}", fmt(a), fmt(b));
         } else {

@@ -15,7 +15,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let main = b.declare_method("main", None, true, 1, 3);
     {
         let mut m = b.begin_body(main);
-        m.push_int(20_000).mark("the dragged buffer").new_array().store(1);
+        m.push_int(20_000)
+            .mark("the dragged buffer")
+            .new_array()
+            .store(1);
         // Fill phase: the buffer is genuinely in use for a while…
         m.push_int(0).store(2);
         m.label("fill");
@@ -26,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m.jump("fill");
         m.label("filled");
         m.load(1).push_int(3).aload().print(); // last use of the buffer
-        // …then dragged across a long, unrelated second phase.
+                                               // …then dragged across a long, unrelated second phase.
         m.push_int(0).store(2);
         m.label("work");
         m.load(2).push_int(2_000).cmpge().branch("done");
@@ -56,7 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         program: &program,
         sites: &run.sites,
     };
-    println!("\n{}", ReportSections::standard(&report, &namer).top(5).render());
+    println!(
+        "\n{}",
+        ReportSections::standard(&report, &namer).top(5).render()
+    );
     println!("The buffer tops the list: nulling local 1 after its last use\nwould reclaim it at the next GC instead of at program exit.");
     Ok(())
 }

@@ -26,7 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         program: &original,
         sites: &run.sites,
     };
-    println!("{}", ReportSections::standard(&report, &namer).top(4).render());
+    println!(
+        "{}",
+        ReportSections::standard(&report, &namer).top(4).render()
+    );
 
     // The manual rewriting (one added line in the source).
     let run_rev = profile(&revised, &[], VmConfig::profiling())?;

@@ -184,7 +184,10 @@ impl JobScore {
 
     /// Number of attempts that ended with `outcome`.
     pub fn outcome_count(&self, outcome: RewriteOutcome) -> usize {
-        self.attempts.iter().filter(|a| a.outcome == outcome).count()
+        self.attempts
+            .iter()
+            .filter(|a| a.outcome == outcome)
+            .count()
     }
 
     /// Number of committed rewrites of `kind`.
@@ -515,20 +518,15 @@ fn ranked_report(
     let ingested = pipe
         .ingest_bytes(&bytes)
         .map_err(|e| format!("ingest trace: {e}"))?;
-    let (mut report, _metrics) = pipe.analyze_records(&ingested.log.records, |ch| {
-        run.sites.innermost(ch)
-    });
+    let (mut report, _metrics) =
+        pipe.analyze_records(&ingested.log.records, |ch| run.sites.innermost(ch));
     // Retaining-path samples ride the same encoded trace; fold them onto
     // the ranked report so the optimizer can anchor assign-null rewrites.
     report.attach_retains(&ingested.log.retains);
     Ok(report)
 }
 
-fn run_job(
-    workload: &Workload,
-    input_label: &'static str,
-    options: &FleetOptions,
-) -> JobScore {
+fn run_job(workload: &Workload, input_label: &'static str, options: &FleetOptions) -> JobScore {
     let input = match input_label {
         "alternate" => (workload.alternate_input)(),
         _ => (workload.default_input)(),
@@ -564,7 +562,11 @@ fn run_job(
         let mut state = OptimizeState::default();
         let mut applied_this_round = 0usize;
 
-        for entry in report.by_nested_site.iter().take(options.optimizer.max_sites) {
+        for entry in report
+            .by_nested_site
+            .iter()
+            .take(options.optimizer.max_sites)
+        {
             let share = entry.stats.drag as f64 / total_drag as f64;
             if share < options.optimizer.min_drag_share {
                 break;
@@ -576,8 +578,13 @@ fn run_job(
             let anchor = find_path_anchor(&program, &run, &report, entry.site);
             let mut candidate = program.clone();
             let mut cand_state = state.clone();
-            let mut step =
-                optimize_site(&mut candidate, &run, entry, anchor.as_ref(), &mut cand_state);
+            let mut step = optimize_site(
+                &mut candidate,
+                &run,
+                entry,
+                anchor.as_ref(),
+                &mut cand_state,
+            );
             if step.attempt.outcome != RewriteOutcome::Applied {
                 // Nothing changed; keep the state so round-local skip
                 // bookkeeping (nulled methods) matches the plain optimizer.

@@ -12,8 +12,8 @@ fn every_workload_roundtrips_through_assembly() {
     for w in all_workloads() {
         let original = w.original();
         let text = disassemble(&original);
-        let reassembled = assemble(&text)
-            .unwrap_or_else(|e| panic!("{}: reassembly failed: {e}", w.name));
+        let reassembled =
+            assemble(&text).unwrap_or_else(|e| panic!("{}: reassembly failed: {e}", w.name));
         let input = (w.default_input)();
         let out1 = Vm::new(&original, VmConfig::default())
             .run(&input)

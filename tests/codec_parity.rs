@@ -16,7 +16,11 @@ fn pipe(shards: usize) -> Pipeline {
     Pipeline::options().shards(shards).chunk_records(64)
 }
 
-fn encode(run: &heapdrag::core::ProfileRun, program: &heapdrag::vm::Program, format: LogFormat) -> Vec<u8> {
+fn encode(
+    run: &heapdrag::core::ProfileRun,
+    program: &heapdrag::vm::Program,
+    format: LogFormat,
+) -> Vec<u8> {
     let mut buf = Vec::new();
     Pipeline::options()
         .format(format)
@@ -57,8 +61,7 @@ fn text_and_binary_logs_ingest_identically_at_every_shard_count() {
 
             // Render the full drag report from each and require bytes.
             let render_of = |log: &heapdrag::core::ParsedLog| {
-                let analysis =
-                    DragAnalyzer::new().analyze(&log.records, |c| Some(SiteId(c.0)));
+                let analysis = DragAnalyzer::new().analyze(&log.records, |c| Some(SiteId(c.0)));
                 ReportSections::standard(&analysis, log).render()
             };
             let rt = render_of(&t.log);
@@ -76,15 +79,25 @@ fn text_and_binary_logs_ingest_identically_at_every_shard_count() {
 
         // Salvage mode on clean input is format-agnostic too, apart from
         // the reported input format itself.
-        let ts = pipe(4).salvage(None).ingest_bytes(&text).expect("salvage text");
-        let bs = pipe(4).salvage(None).ingest_bytes(&binary).expect("salvage binary");
+        let ts = pipe(4)
+            .salvage(None)
+            .ingest_bytes(&text)
+            .expect("salvage text");
+        let bs = pipe(4)
+            .salvage(None)
+            .ingest_bytes(&binary)
+            .expect("salvage binary");
         assert_eq!(ts.log, bs.log, "{name}: salvage-mode logs differ");
         assert!(
-            ts.salvage.render_footer().contains("input format:       text"),
+            ts.salvage
+                .render_footer()
+                .contains("input format:       text"),
             "{name}: text footer names its format"
         );
         assert!(
-            bs.salvage.render_footer().contains("input format:       binary"),
+            bs.salvage
+                .render_footer()
+                .contains("input format:       binary"),
             "{name}: binary footer names its format"
         );
     }

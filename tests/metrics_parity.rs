@@ -15,7 +15,9 @@ use heapdrag::workloads::{all_workloads, workload_by_name};
 
 fn write_log(run: &ProfileRun, program: &Program) -> String {
     let mut buf = Vec::new();
-    Pipeline::options().write_to(run, program, &mut buf).expect("writes");
+    Pipeline::options()
+        .write_to(run, program, &mut buf)
+        .expect("writes");
     String::from_utf8(buf).expect("text log is utf-8")
 }
 
@@ -61,8 +63,7 @@ fn offline_snapshot(log_text: &str, shards: usize) -> Snapshot {
     let pipe = Pipeline::options().shards(shards);
     let ingested = pipe.ingest_bytes(log_text).expect("log parses");
     let (parsed, parse_metrics) = (ingested.log, ingested.metrics);
-    let (report, analyze_metrics) =
-        pipe.analyze_records(&parsed.records, |c| Some(SiteId(c.0)));
+    let (report, analyze_metrics) = pipe.analyze_records(&parsed.records, |c| Some(SiteId(c.0)));
     parse_metrics.publish("parse", &registry);
     analyze_metrics.publish("analyze", &registry);
     parsed.publish_metrics(&registry);
@@ -78,8 +79,8 @@ fn online_metrics_reconcile_with_offline_for_every_workload_and_shard_count() {
         let input = (w.default_input)();
 
         let online = Registry::new();
-        let run = profile_with(&program, &input, VmConfig::profiling(), Some(&online))
-            .expect("profiles");
+        let run =
+            profile_with(&program, &input, VmConfig::profiling(), Some(&online)).expect("profiles");
         let online_snap = online.snapshot();
         let want = reconciled(&online_snap);
 
@@ -211,13 +212,17 @@ fn salvaged_corrupt_logs_are_shard_invariant_end_to_end() {
                 .chunk_records(256)
                 .salvage(None);
             let ingested = pipe.ingest_bytes(text).expect("salvage succeeds");
-            let (report, _) =
-                pipe.analyze_records(&ingested.log.records, |c| Some(SiteId(c.0)));
+            let (report, _) = pipe.analyze_records(&ingested.log.records, |c| Some(SiteId(c.0)));
             let rendered = ReportSections::standard(&report, &ingested.log).render()
                 + &ingested.salvage.render_footer();
             let registry = Registry::new();
             ingested.salvage.publish_metrics(&registry);
-            (ingested.log, ingested.salvage, rendered, registry.render_json())
+            (
+                ingested.log,
+                ingested.salvage,
+                rendered,
+                registry.render_json(),
+            )
         };
         let baseline = ingest(1);
         // Deleting or duplicating a *complete* well-formed line can be
@@ -273,18 +278,15 @@ fn vm_level_metrics_agree_with_run_outcome() {
         "per-class dispatch counters must sum to the step count"
     );
     assert_eq!(
-        snap.counters["vm_deep_gc_total"],
-        run.outcome.deep_gcs,
+        snap.counters["vm_deep_gc_total"], run.outcome.deep_gcs,
         "deep-GC counter matches the outcome"
     );
     assert_eq!(
-        snap.counters["vm_heap_alloc_bytes_total"],
-        run.outcome.heap.allocated_bytes,
+        snap.counters["vm_heap_alloc_bytes_total"], run.outcome.heap.allocated_bytes,
         "allocated-bytes counter matches the heap stats"
     );
     assert_eq!(
-        snap.counters["vm_heap_alloc_objects_total"],
-        run.outcome.heap.allocated_objects,
+        snap.counters["vm_heap_alloc_objects_total"], run.outcome.heap.allocated_objects,
         "allocated-objects counter matches the heap stats"
     );
 }
@@ -305,8 +307,7 @@ fn every_deep_gc_is_one_collection_when_nothing_is_finalized() {
         let snap = registry.snapshot();
         assert!(run.outcome.deep_gcs > 0, "{}: deep GCs ran", w.name);
         assert_eq!(
-            snap.counters["vm_heap_gc_full_total"],
-            snap.counters["vm_deep_gc_total"],
+            snap.counters["vm_heap_gc_full_total"], snap.counters["vm_deep_gc_total"],
             "{}: one full collection per deep GC",
             w.name
         );

@@ -98,7 +98,13 @@ fn rejected_rewrites_are_reported_and_never_written() {
     assert!(rejected > 0, "the stub verifier never fired");
 
     for j in &board.jobs {
-        assert!(j.error.is_none(), "{}/{} failed: {:?}", j.workload, j.input, j.error);
+        assert!(
+            j.error.is_none(),
+            "{}/{} failed: {:?}",
+            j.workload,
+            j.input,
+            j.error
+        );
         // Every rejection is reported with the apply detail *and* the
         // revert reason — not swallowed.
         for a in &j.attempts {
@@ -127,7 +133,10 @@ fn rejected_rewrites_are_reported_and_never_written() {
     // …and write_revised refuses to write anything.
     let dir = std::env::temp_dir().join(format!("heapdrag-fleet-reject-{}", std::process::id()));
     let written = board.write_revised(&dir).expect("write_revised");
-    assert!(written.is_empty(), "rejected rewrites reached disk: {written:?}");
+    assert!(
+        written.is_empty(),
+        "rejected rewrites reached disk: {written:?}"
+    );
     let leftover = std::fs::read_dir(&dir).expect("dir exists").count();
     assert_eq!(leftover, 0);
     let _ = std::fs::remove_dir_all(&dir);
@@ -179,7 +188,8 @@ fn path_anchoring_places_assign_null_where_liveness_cannot() {
     for a in job.attempts.iter().filter(|a| a.path_anchored) {
         assert_eq!(a.outcome, RewriteOutcome::Applied, "{a:?}");
         assert!(
-            a.detail.contains("path-anchored: nulled static analyzer.Mutability.graph"),
+            a.detail
+                .contains("path-anchored: nulled static analyzer.Mutability.graph"),
             "{a:?}"
         );
     }
@@ -258,7 +268,10 @@ fn full_fleet_reduces_drag_with_every_rewrite_verified() {
     let registry = heapdrag::obs::Registry::new();
     board.publish_metrics(&registry);
     let snapshot = registry.render_prometheus();
-    assert!(snapshot.contains("heapdrag_optimize_jobs_total 18"), "{snapshot}");
+    assert!(
+        snapshot.contains("heapdrag_optimize_jobs_total 18"),
+        "{snapshot}"
+    );
     let applied: usize = board.jobs.iter().map(|j| j.applied.len()).sum();
     assert!(
         snapshot.contains(&format!(

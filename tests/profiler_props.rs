@@ -49,11 +49,19 @@ fn integrals_equal_sum_of_site_stats() {
         let totals = Integrals::from_records(&records);
         assert_eq!(report.totals, totals);
         let site_drag: u128 = report.by_nested_site.iter().map(|e| e.stats.drag).sum();
-        let site_reach: u128 = report.by_nested_site.iter().map(|e| e.stats.reachable).sum();
+        let site_reach: u128 = report
+            .by_nested_site
+            .iter()
+            .map(|e| e.stats.reachable)
+            .sum();
         assert_eq!(site_drag, totals.drag());
         assert_eq!(site_reach, totals.reachable);
         // The pair partition covers the same mass.
-        let pair_drag: u128 = report.by_alloc_and_last_use.iter().map(|e| e.stats.drag).sum();
+        let pair_drag: u128 = report
+            .by_alloc_and_last_use
+            .iter()
+            .map(|e| e.stats.drag)
+            .sum();
         assert_eq!(pair_drag, totals.drag());
         // Sorted descending by drag.
         assert!(report
@@ -69,7 +77,11 @@ fn object_counts_partition_exactly() {
         let records = records(rng, 0, 60);
         let report = DragAnalyzer::new().analyze(&records, |c| Some(SiteId(c.0)));
         let by_site: u64 = report.by_nested_site.iter().map(|e| e.stats.objects).sum();
-        let by_pair: u64 = report.by_alloc_and_last_use.iter().map(|e| e.stats.objects).sum();
+        let by_pair: u64 = report
+            .by_alloc_and_last_use
+            .iter()
+            .map(|e| e.stats.objects)
+            .sum();
         assert_eq!(by_site, records.len() as u64);
         assert_eq!(by_pair, records.len() as u64);
     });

@@ -30,7 +30,9 @@ use heapdrag_testkit::{check, inject_binary, BinaryFault, Rng};
 /// few hundred samples, so every property has material to bite on.
 const RATE: f64 = 0.25;
 
-fn juru_run(retain: Option<RetainConfig>) -> (heapdrag::vm::program::Program, heapdrag::core::ProfileRun) {
+fn juru_run(
+    retain: Option<RetainConfig>,
+) -> (heapdrag::vm::program::Program, heapdrag::core::ProfileRun) {
     let w = workload_by_name("juru").expect("stock workload");
     let program = (w.build)(Variant::Original);
     let input = (w.default_input)();
@@ -40,9 +42,14 @@ fn juru_run(retain: Option<RetainConfig>) -> (heapdrag::vm::program::Program, he
     (program, run)
 }
 
-fn log_bytes(program: &heapdrag::vm::program::Program, run: &heapdrag::core::ProfileRun, format: LogFormat) -> Vec<u8> {
+fn log_bytes(
+    program: &heapdrag::vm::program::Program,
+    run: &heapdrag::core::ProfileRun,
+    format: LogFormat,
+) -> Vec<u8> {
     let mut buf = Vec::new();
-    run.write_log_to(program, format, &mut buf).expect("write log");
+    run.write_log_to(program, format, &mut buf)
+        .expect("write log");
     buf
 }
 
@@ -58,8 +65,7 @@ fn ingest(bytes: &[u8], shards: usize, chunk: usize) -> Ingested {
 /// Renders the full report (summary + top sites + sure bets + retaining
 /// paths) from an ingested log, the way `heapdrag report` does.
 fn render(ingested: &Ingested) -> String {
-    let (mut report, _) = Pipeline::options()
-        .analyze_records(&ingested.log.records, |_| None);
+    let (mut report, _) = Pipeline::options().analyze_records(&ingested.log.records, |_| None);
     report.attach_retains(&ingested.log.retains);
     ReportSections::standard(&report, &ingested.log).render()
 }
@@ -106,7 +112,10 @@ fn text_and_binary_logs_agree_end_to_end() {
     let binary = ingest(&log_bytes(&program, &run, LogFormat::Binary), 1, 64);
     assert!(text.salvage.is_clean() && binary.salvage.is_clean());
     assert_eq!(text.log.retains, run.retains, "text roundtrip lost samples");
-    assert_eq!(binary.log.retains, run.retains, "binary roundtrip lost samples");
+    assert_eq!(
+        binary.log.retains, run.retains,
+        "binary roundtrip lost samples"
+    );
     assert_eq!(render(&text), render(&binary));
     let rendered = render(&text);
     assert!(
@@ -123,7 +132,10 @@ fn retaining_report_is_shard_and_chunk_invariant() {
     let want = render(&baseline);
     for (shards, chunk) in [(4, 64), (7, 64), (1, 7), (7, 501)] {
         let got = ingest(&bytes, shards, chunk);
-        assert_eq!(got.log.retains, baseline.log.retains, "shards={shards} chunk={chunk}");
+        assert_eq!(
+            got.log.retains, baseline.log.retains,
+            "shards={shards} chunk={chunk}"
+        );
         assert_eq!(render(&got), want, "shards={shards} chunk={chunk}");
     }
 }

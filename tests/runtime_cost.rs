@@ -41,7 +41,9 @@ fn revised_variants_never_cost_meaningfully_more() {
 fn db_variants_cost_identically() {
     let w = heapdrag::workloads::workload_by_name("db").unwrap();
     let input = (w.default_input)();
-    let a = Vm::new(&w.original(), runtime_config()).run(&input).unwrap();
+    let a = Vm::new(&w.original(), runtime_config())
+        .run(&input)
+        .unwrap();
     let b = Vm::new(&w.revised(), runtime_config()).run(&input).unwrap();
     assert_eq!(a.cost_units(), b.cost_units());
     assert_eq!(a.steps, b.steps);

@@ -39,7 +39,8 @@ fn pipe(shards: usize) -> Pipeline {
 /// enough that chunking engages and any fault lands somewhere
 /// interesting. The `end` marker is last, as `write_log` emits it.
 fn clean_log() -> String {
-    let mut text = String::from("heapdrag-log v1\nchain 0 Main.main@1 \"buf\"\nchain 1 Main.work@9\n");
+    let mut text =
+        String::from("heapdrag-log v1\nchain 0 Main.main@1 \"buf\"\nchain 1 Main.work@9\n");
     for i in 0u64..400 {
         text.push_str(&format!(
             "obj {} {} {} {} {} {} {} {} {}\n",
@@ -48,9 +49,17 @@ fn clean_log() -> String {
             8 + (i % 17) * 24,
             i * 5,
             i * 5 + 350 + (i % 7) * 40,
-            if i % 5 == 0 { "-".to_string() } else { (i * 5 + 90).to_string() },
+            if i % 5 == 0 {
+                "-".to_string()
+            } else {
+                (i * 5 + 90).to_string()
+            },
             i % 2,
-            if i % 5 == 0 { "-".to_string() } else { (i % 2).to_string() },
+            if i % 5 == 0 {
+                "-".to_string()
+            } else {
+                (i % 2).to_string()
+            },
             u8::from(i % 9 == 0),
         ));
         if i % 25 == 0 {
@@ -93,14 +102,14 @@ fn salvage_never_panics_and_is_shard_invariant_under_every_fault() {
             256,
             |rng: &mut Rng| {
                 let text = corrupt(&clean, fault, rng);
-                let baseline = salvage(&text, 1).unwrap_or_else(|e| {
-                    panic!("{}: salvage must succeed, got {e}", fault.name())
-                });
+                let baseline = salvage(&text, 1)
+                    .unwrap_or_else(|e| panic!("{}: salvage must succeed, got {e}", fault.name()));
                 for shards in [4, 7] {
                     let got = salvage(&text, shards).expect("salvage succeeds");
                     assert_eq!(got.log, baseline.log, "{}: shards {shards}", fault.name());
                     assert_eq!(
-                        got.salvage, baseline.salvage,
+                        got.salvage,
+                        baseline.salvage,
                         "{}: shards {shards}",
                         fault.name()
                     );

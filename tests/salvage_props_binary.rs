@@ -110,7 +110,11 @@ fn testkit_walker_agrees_with_the_codec() {
     );
     let clean = clean_log();
     let frames = complete_frames(&clean);
-    assert_eq!(frames.last().unwrap().1, clean.len(), "walker spans the log");
+    assert_eq!(
+        frames.last().unwrap().1,
+        clean.len(),
+        "walker spans the log"
+    );
     let objs = frames.iter().filter(|&&(_, _, tag)| tag == TAG_OBJ).count();
     let parsed = strict(&clean, 1).expect("clean log parses strictly");
     assert!(parsed.salvage.is_clean());
@@ -127,14 +131,14 @@ fn salvage_never_panics_and_is_shard_invariant_under_every_binary_fault() {
             256,
             |rng: &mut Rng| {
                 let (bytes, _) = inject_binary(&clean, fault, rng);
-                let baseline = salvage(&bytes, 1).unwrap_or_else(|e| {
-                    panic!("{}: salvage must succeed, got {e}", fault.name())
-                });
+                let baseline = salvage(&bytes, 1)
+                    .unwrap_or_else(|e| panic!("{}: salvage must succeed, got {e}", fault.name()));
                 for shards in [4, 7] {
                     let got = salvage(&bytes, shards).expect("salvage succeeds");
                     assert_eq!(got.log, baseline.log, "{}: shards {shards}", fault.name());
                     assert_eq!(
-                        got.salvage, baseline.salvage,
+                        got.salvage,
+                        baseline.salvage,
                         "{}: shards {shards}",
                         fault.name()
                     );
@@ -184,12 +188,8 @@ fn structural_binary_faults_never_invent_records_and_drag_is_a_subset() {
     let baseline = salvage(&clean, 1).expect("clean log ingests");
     assert!(baseline.salvage.is_clean(), "the sink emits a clean log");
     let clean_drag = total_drag(&baseline.log.records);
-    let by_id: HashMap<ObjectId, &ObjectRecord> = baseline
-        .log
-        .records
-        .iter()
-        .map(|r| (r.object, r))
-        .collect();
+    let by_id: HashMap<ObjectId, &ObjectRecord> =
+        baseline.log.records.iter().map(|r| (r.object, r)).collect();
 
     for fault in BinaryFault::ALL.into_iter().filter(|f| f.is_structural()) {
         check(

@@ -17,8 +17,7 @@ use std::io::Read;
 use heapdrag::core::serve::session_cost;
 use heapdrag::core::{
     LogFormat, Pipeline, ProfileRun, ReportSections, ServeConfig, ServeManager, SessionId,
-    SessionSource,
-    SessionSpec, SessionState,
+    SessionSource, SessionSpec, SessionState,
 };
 use heapdrag::obs::Registry;
 use heapdrag::vm::Program;
@@ -29,8 +28,12 @@ const BUDGET: u64 = 32;
 
 fn profile(program: &Program, name: &str) -> ProfileRun {
     let w = workload_by_name(name).expect("workload exists");
-    heapdrag::core::profile(program, &(w.default_input)(), heapdrag::core::VmConfig::profiling())
-        .unwrap_or_else(|e| panic!("{name} profiles: {e}"))
+    heapdrag::core::profile(
+        program,
+        &(w.default_input)(),
+        heapdrag::core::VmConfig::profiling(),
+    )
+    .unwrap_or_else(|e| panic!("{name} profiles: {e}"))
 }
 
 fn encode(run: &ProfileRun, program: &Program, format: LogFormat) -> Vec<u8> {
@@ -144,11 +147,8 @@ fn run_fleet(specs: &[Spec], pool: usize, order: &[usize]) -> String {
     for &spec_index in order {
         let spec = &specs[spec_index];
         let id = manager.submit(
-            SessionSpec::new(
-                spec.name.clone(),
-                SessionSource::Bytes(spec.bytes.clone()),
-            )
-            .pipeline(spec.pipe),
+            SessionSpec::new(spec.name.clone(), SessionSource::Bytes(spec.bytes.clone()))
+                .pipeline(spec.pipe),
         );
         submitted.push((id, spec_index));
     }
@@ -177,8 +177,7 @@ fn run_fleet(specs: &[Spec], pool: usize, order: &[usize]) -> String {
         let stats = s.stats.as_ref().expect("completed session has stats");
         let spec = &specs[submitted.iter().find(|(id, _)| *id == s.id).unwrap().1];
         assert_eq!(s.cost, session_cost(spec.shards), "{}", spec.name);
-        let bound = s.cost * stats.max_chunk_bytes
-            + 2 * heapdrag::core::stream::READ_BLOCK as u64;
+        let bound = s.cost * stats.max_chunk_bytes + 2 * heapdrag::core::stream::READ_BLOCK as u64;
         assert!(
             stats.peak_buffered_bytes <= bound,
             "{}: peak {} over bound {bound} at pool {pool}",
@@ -203,11 +202,17 @@ fn run_fleet(specs: &[Spec], pool: usize, order: &[usize]) -> String {
     assert_eq!(snap.counters["heapdrag_serve_sessions_submitted_total"], 64);
     assert_eq!(snap.counters["heapdrag_serve_sessions_completed_total"], 64);
     assert_eq!(snap.counters["heapdrag_serve_sessions_failed_total"], 0);
-    assert_eq!(snap.counters["heapdrag_serve_admission_rejections_total"], 0);
+    assert_eq!(
+        snap.counters["heapdrag_serve_admission_rejections_total"],
+        0
+    );
     assert_eq!(snap.gauges["heapdrag_serve_active_sessions"], 0);
     assert_eq!(snap.gauges["heapdrag_serve_queued_sessions"], 0);
     assert_eq!(snap.gauges["heapdrag_serve_inflight_chunks"], 0);
-    assert_eq!(snap.gauges["heapdrag_serve_pool_workers"], i64::try_from(pool).unwrap());
+    assert_eq!(
+        snap.gauges["heapdrag_serve_pool_workers"],
+        i64::try_from(pool).unwrap()
+    );
 
     manager.fleet_report(10)
 }
@@ -264,7 +269,9 @@ fn panicking_pool_jobs_do_not_perturb_live_sessions() {
             );
             submitted.push((id, spec_index));
             // Interleave a hostile job between every submission.
-            manager.pool().execute(Box::new(|| panic!("poisoned decode job")));
+            manager
+                .pool()
+                .execute(Box::new(|| panic!("poisoned decode job")));
         }
     }
     manager.wait_idle();
@@ -282,7 +289,11 @@ fn panicking_pool_jobs_do_not_perturb_live_sessions() {
     while manager.pool().panics() < 32 && std::time::Instant::now() < deadline {
         std::thread::yield_now();
     }
-    assert_eq!(manager.pool().panics(), 32, "every hostile job was contained");
+    assert_eq!(
+        manager.pool().panics(),
+        32,
+        "every hostile job was contained"
+    );
 }
 
 /// Admission control under pressure: sessions whose combined cost

@@ -139,7 +139,10 @@ fn run_plan(plan: Plan) {
     let count = |state| by_state.get(&state).copied().unwrap_or(0);
     let snap = registry.snapshot();
     let total = plan.sessions.len() as u64;
-    assert_eq!(snap.counters["heapdrag_serve_sessions_submitted_total"], total);
+    assert_eq!(
+        snap.counters["heapdrag_serve_sessions_submitted_total"],
+        total
+    );
     assert_eq!(
         snap.counters["heapdrag_serve_sessions_completed_total"],
         count(SessionState::Completed)

@@ -21,7 +21,9 @@ fn optimize_and_measure(src: &str, input: &[i64]) -> (SavingsReport, Vec<String>
     .expect("optimizer runs");
     // Behaviour must be preserved.
     let o1 = Vm::new(&original, RawConfig::default()).run(input).unwrap();
-    let o2 = Vm::new(&optimized, RawConfig::default()).run(input).unwrap();
+    let o2 = Vm::new(&optimized, RawConfig::default())
+        .run(input)
+        .unwrap();
     assert_eq!(o1.output, o2.output, "behaviour preserved");
     heapdrag::vm::verify::verify_program(&optimized).expect("still verifier-clean");
 

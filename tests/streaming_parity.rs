@@ -83,8 +83,12 @@ fn streaming_report_is_byte_identical_for_every_workload_shard_format_and_mode()
 
 fn profile(program: &Program, name: &str) -> ProfileRun {
     let w = workload_by_name(name).expect("workload exists");
-    heapdrag::core::profile(program, &(w.default_input)(), heapdrag::core::VmConfig::profiling())
-        .unwrap_or_else(|e| panic!("{name} profiles: {e}"))
+    heapdrag::core::profile(
+        program,
+        &(w.default_input)(),
+        heapdrag::core::VmConfig::profiling(),
+    )
+    .unwrap_or_else(|e| panic!("{name} profiles: {e}"))
 }
 
 /// A deterministic synthetic text trace small enough that 1-byte reads
@@ -151,8 +155,7 @@ fn corrupted_traces_stream_identically_at_every_shard_count() {
         let (text, _) = inject(&clean, fault, rng);
         let baseline = pipe(1, true).ingest_bytes(text.as_bytes());
         for shards in SHARDS {
-            let streamed = pipe(shards, true)
-                .ingest_reader(StutterReader::new(text.as_bytes()));
+            let streamed = pipe(shards, true).ingest_reader(StutterReader::new(text.as_bytes()));
             match (&baseline, &streamed) {
                 (Ok(want), Ok((got, _))) => {
                     assert_eq!(got.log, want.log, "{fault:?} at {shards} shards");
@@ -165,9 +168,9 @@ fn corrupted_traces_stream_identically_at_every_shard_count() {
                         "{fault:?} at {shards} shards"
                     );
                 }
-                (want, got) => panic!(
-                    "{fault:?} at {shards} shards: in-memory {want:?} vs streamed {got:?}"
-                ),
+                (want, got) => {
+                    panic!("{fault:?} at {shards} shards: in-memory {want:?} vs streamed {got:?}")
+                }
             }
         }
     });
@@ -192,8 +195,7 @@ fn truncated_traces_recover_a_prefix_through_the_streaming_reader() {
             .expect("salvage succeeds on a truncated log");
         let got = &ingested.log.records;
         assert!(
-            got.len() <= clean_records.len()
-                && clean_records[..got.len()] == got[..],
+            got.len() <= clean_records.len() && clean_records[..got.len()] == got[..],
             "salvaged records must be a prefix of the clean sequence \
              (cut at byte {cut}, kept {})",
             got.len()
@@ -297,7 +299,11 @@ fn peak_buffered_bytes_stays_bounded_on_a_64_mib_trace() {
         "trace must be >= 64 MiB, read {}",
         streamed.stats.bytes_read
     );
-    assert!(streamed.records >= 1_000_000, "records folded: {}", streamed.records);
+    assert!(
+        streamed.records >= 1_000_000,
+        "records folded: {}",
+        streamed.records
+    );
     let bound = 4 * 4 * streamed.stats.max_chunk_bytes;
     assert!(
         streamed.stats.peak_buffered_bytes < bound,
@@ -317,5 +323,8 @@ fn peak_buffered_bytes_stays_bounded_on_a_64_mib_trace() {
         snap.gauges["heapdrag_ingest_backpressure_stalls"],
         i64::try_from(streamed.stats.backpressure_stalls).unwrap()
     );
-    assert_eq!(snap.counters["heapdrag_ingest_bytes_total"], streamed.stats.bytes_read);
+    assert_eq!(
+        snap.counters["heapdrag_ingest_bytes_total"],
+        streamed.stats.bytes_read
+    );
 }

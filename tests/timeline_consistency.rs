@@ -13,8 +13,7 @@ fn reconstruction_matches_vm_samples_exactly() {
             let run = profile(&program, &input, VmConfig::profiling()).expect("runs");
             let times: Vec<u64> = run.samples.iter().map(|s| s.time).collect();
             let reconstructed = Timeline::from_records(&run.records, &times);
-            for (i, (sample, point)) in run.samples.iter().zip(&reconstructed.points).enumerate()
-            {
+            for (i, (sample, point)) in run.samples.iter().zip(&reconstructed.points).enumerate() {
                 // Two deep GCs can share one byte-clock tick (e.g. a
                 // periodic GC immediately followed by the exit GC with no
                 // allocation in between). The records can only express the

@@ -64,44 +64,45 @@ fn build(stmts: &[Stmt], branch_stmts: &[Stmt]) -> Program {
             m.new_obj(class).store(l);
             m.load(l).push_int(0).putfield(0);
         }
-        let emit = |m: &mut heapdrag::vm::builder::MethodBuilder<'_>, stmts: &[Stmt], tag: usize| {
-            for (k, s) in stmts.iter().enumerate() {
-                match s {
-                    Stmt::SetInt(l, v) => {
-                        m.push_int(*v as i64).store(*l);
-                    }
-                    Stmt::Add(a, b2) => {
-                        m.load(*a).load(*b2).add().store(*a);
-                    }
-                    Stmt::AllocUseObj { local, v } => {
-                        m.new_obj(class).store(*local);
-                        m.load(*local).push_int(*v as i64).putfield(0);
-                    }
-                    Stmt::AllocDeadObj { local } => {
-                        // Allocated, stored, then overwritten by null —
-                        // dynamic drag, and (if nothing reads it) a
-                        // dead-code-removal candidate after nulling.
-                        m.new_obj(class).store(*local);
-                        m.push_null().store(*local);
-                    }
-                    Stmt::ReadField { from, into } => {
-                        let skip = format!("s{tag}_{k}");
-                        m.load(*from).branch_if_null(skip.clone());
-                        m.load(*from).getfield(0).store(*into);
-                        m.label(skip);
-                    }
-                    Stmt::Drop(l) => {
-                        m.push_null().store(*l);
-                    }
-                    Stmt::Print(l) => {
-                        m.load(*l).print();
-                    }
-                    Stmt::Churn(n) => {
-                        m.push_int(*n as i64).new_array().pop();
+        let emit =
+            |m: &mut heapdrag::vm::builder::MethodBuilder<'_>, stmts: &[Stmt], tag: usize| {
+                for (k, s) in stmts.iter().enumerate() {
+                    match s {
+                        Stmt::SetInt(l, v) => {
+                            m.push_int(*v as i64).store(*l);
+                        }
+                        Stmt::Add(a, b2) => {
+                            m.load(*a).load(*b2).add().store(*a);
+                        }
+                        Stmt::AllocUseObj { local, v } => {
+                            m.new_obj(class).store(*local);
+                            m.load(*local).push_int(*v as i64).putfield(0);
+                        }
+                        Stmt::AllocDeadObj { local } => {
+                            // Allocated, stored, then overwritten by null —
+                            // dynamic drag, and (if nothing reads it) a
+                            // dead-code-removal candidate after nulling.
+                            m.new_obj(class).store(*local);
+                            m.push_null().store(*local);
+                        }
+                        Stmt::ReadField { from, into } => {
+                            let skip = format!("s{tag}_{k}");
+                            m.load(*from).branch_if_null(skip.clone());
+                            m.load(*from).getfield(0).store(*into);
+                            m.label(skip);
+                        }
+                        Stmt::Drop(l) => {
+                            m.push_null().store(*l);
+                        }
+                        Stmt::Print(l) => {
+                            m.load(*l).print();
+                        }
+                        Stmt::Churn(n) => {
+                            m.push_int(*n as i64).new_array().pop();
+                        }
                     }
                 }
-            }
-        };
+            };
         emit(&mut m, stmts, 0);
         m.load(1).load(2).cmple().branch("taken");
         m.jump("merge");
@@ -124,8 +125,12 @@ fn assign_null_preserves_output_and_saves_space() {
         assign_null_program(&mut revised);
         revised.link().expect("still well-formed");
 
-        let a = Vm::new(&original, RawConfig::default()).run(&[]).expect("runs");
-        let b = Vm::new(&revised, RawConfig::default()).run(&[]).expect("runs");
+        let a = Vm::new(&original, RawConfig::default())
+            .run(&[])
+            .expect("runs");
+        let b = Vm::new(&revised, RawConfig::default())
+            .run(&[])
+            .expect("runs");
         assert_eq!(&a.output, &b.output);
 
         // Space-time never regresses under fine-grained collection.
@@ -152,8 +157,12 @@ fn dead_code_removal_preserves_output() {
         let mut revised = original.clone();
         let removed = remove_all_dead_allocations(&mut revised);
         revised.link().expect("still well-formed");
-        let a = Vm::new(&original, RawConfig::default()).run(&[]).expect("runs");
-        let b = Vm::new(&revised, RawConfig::default()).run(&[]).expect("runs");
+        let a = Vm::new(&original, RawConfig::default())
+            .run(&[])
+            .expect("runs");
+        let b = Vm::new(&revised, RawConfig::default())
+            .run(&[])
+            .expect("runs");
         assert_eq!(&a.output, &b.output);
         assert!(
             b.heap.allocated_bytes <= a.heap.allocated_bytes,
@@ -176,8 +185,12 @@ fn transforms_compose() {
         revised.link().expect("still well-formed");
         heapdrag::vm::verify::verify_program(&revised)
             .expect("transformed program passes the bytecode verifier");
-        let a = Vm::new(&original, RawConfig::default()).run(&[]).expect("runs");
-        let b = Vm::new(&revised, RawConfig::default()).run(&[]).expect("runs");
+        let a = Vm::new(&original, RawConfig::default())
+            .run(&[])
+            .expect("runs");
+        let b = Vm::new(&revised, RawConfig::default())
+            .run(&[])
+            .expect("runs");
         assert_eq!(a.output, b.output);
     });
 }

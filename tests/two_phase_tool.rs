@@ -8,8 +8,13 @@ use heapdrag::workloads::all_workloads;
 
 fn log_roundtrip(run: &ProfileRun, program: &Program) -> ParsedLog {
     let mut buf = Vec::new();
-    Pipeline::options().write_to(run, program, &mut buf).expect("writes");
-    Pipeline::options().ingest_bytes(&buf).expect("log parses").log
+    Pipeline::options()
+        .write_to(run, program, &mut buf)
+        .expect("writes");
+    Pipeline::options()
+        .ingest_bytes(&buf)
+        .expect("log parses")
+        .log
 }
 
 #[test]
