@@ -180,8 +180,9 @@ pub struct LiveShared {
 /// Uses batched [`UseDelivery::Coalesced`] delivery — at most one use
 /// event per object per GC window, flushed with original timestamps at
 /// safepoints — exactly like the file-logging `DragProfiler` in
-/// `heapdrag-core`, whose last-write-wins trailer semantics the
-/// consumer mirrors.
+/// `heapdrag-core`: the consumer in `heapdrag-core` feeds these events
+/// to a `DragProfiler` of its own, so the trailers it builds are the
+/// file-logging path's.
 pub struct LiveProfiler {
     tx: RingProducer<LiveEvent>,
     shared: Arc<LiveShared>,
