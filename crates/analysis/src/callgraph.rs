@@ -200,7 +200,11 @@ mod tests {
         assert!(subtree.contains(&base) && subtree.contains(&derived));
         assert_eq!(h.children(derived), &[] as &[ClassId]);
         let object_tree = h.subtree(p.builtins.object);
-        assert_eq!(object_tree.len(), p.classes.len(), "everything under Object");
+        assert_eq!(
+            object_tree.len(),
+            p.classes.len(),
+            "everything under Object"
+        );
     }
 
     #[test]

@@ -60,7 +60,11 @@ impl Cfg {
             .filter(|(_, s)| s.is_empty())
             .map(|(pc, _)| pc as u32)
             .collect();
-        Cfg { succs, preds, exits }
+        Cfg {
+            succs,
+            preds,
+            exits,
+        }
     }
 
     /// Number of instructions.
@@ -165,7 +169,12 @@ mod tests {
     #[test]
     fn branch_has_two_successors() {
         // 0: push 1; 1: branch 3; 2: nop; 3: ret
-        let m = method(vec![Insn::PushInt(1), Insn::Branch(3), Insn::Nop, Insn::Ret]);
+        let m = method(vec![
+            Insn::PushInt(1),
+            Insn::Branch(3),
+            Insn::Nop,
+            Insn::Ret,
+        ]);
         let cfg = Cfg::build(&m);
         assert_eq!(cfg.succs(1), &[2, 3]);
         assert_eq!(cfg.preds(3), &[1, 2]);
@@ -173,7 +182,13 @@ mod tests {
 
     #[test]
     fn exception_edges() {
-        let mut m = method(vec![Insn::PushInt(1), Insn::PushInt(0), Insn::Div, Insn::Ret, Insn::Ret]);
+        let mut m = method(vec![
+            Insn::PushInt(1),
+            Insn::PushInt(0),
+            Insn::Div,
+            Insn::Ret,
+            Insn::Ret,
+        ]);
         m.handlers.push(Handler {
             start_pc: 0,
             end_pc: 3,

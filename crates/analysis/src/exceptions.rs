@@ -174,7 +174,10 @@ mod tests {
         let p = program_with_handler(Some("Object"));
         let cg = CallGraph::build(&p);
         let h = HandlerSet::build(&p, &cg);
-        assert!(h.catches(&p, p.builtins.arithmetic), "Object catches all builtins");
+        assert!(
+            h.catches(&p, p.builtins.arithmetic),
+            "Object catches all builtins"
+        );
     }
 
     #[test]

@@ -67,16 +67,14 @@ impl GlobalTypes {
                 // Defeated inference: poison everything this method writes.
                 for insn in &method.code {
                     match insn {
-                        Insn::PutField(slot)
-                            if !self.poisoned_slots.contains(slot) => {
-                                self.poisoned_slots.push(*slot);
-                                changed = true;
-                            }
-                        Insn::PutStatic(s)
-                            if self.statics[s.index()] != AbsType::Top => {
-                                self.statics[s.index()] = AbsType::Top;
-                                changed = true;
-                            }
+                        Insn::PutField(slot) if !self.poisoned_slots.contains(slot) => {
+                            self.poisoned_slots.push(*slot);
+                            changed = true;
+                        }
+                        Insn::PutStatic(s) if self.statics[s.index()] != AbsType::Top => {
+                            self.statics[s.index()] = AbsType::Top;
+                            changed = true;
+                        }
                         _ => {}
                     }
                 }
@@ -93,11 +91,8 @@ impl GlobalTypes {
                                 if let Some(key) =
                                     program.classes[class.index()].layout.get(*slot as usize)
                                 {
-                                    let cur = self
-                                        .fields
-                                        .get(key)
-                                        .copied()
-                                        .unwrap_or(AbsType::Bottom);
+                                    let cur =
+                                        self.fields.get(key).copied().unwrap_or(AbsType::Bottom);
                                     let new = join(program, cur, value);
                                     if new != cur {
                                         self.fields.insert(*key, new);
@@ -174,9 +169,10 @@ impl TypeEnv for GlobalTypes {
                 // Join over every field that could live at this slot.
                 let mut t = AbsType::Bottom;
                 for (key, ft) in &self.fields {
-                    let lives_at_slot = program.classes.iter().any(|c| {
-                        c.layout.get(slot as usize) == Some(key)
-                    });
+                    let lives_at_slot = program
+                        .classes
+                        .iter()
+                        .any(|c| c.layout.get(slot as usize) == Some(key));
                     if lives_at_slot {
                         t = join(program, t, *ft);
                     }
@@ -221,7 +217,10 @@ mod tests {
     fn chained_field_reads_resolve() {
         // parser.table.n — the jack shape that defeats local inference.
         let mut b = ProgramBuilder::new();
-        let table = b.begin_class("Table").field("n", Visibility::Private).finish();
+        let table = b
+            .begin_class("Table")
+            .field("n", Visibility::Private)
+            .finish();
         let parser = b
             .begin_class("Parser")
             .field("table", Visibility::Private)
@@ -267,7 +266,10 @@ mod tests {
     #[test]
     fn never_written_field_reads_as_null() {
         let mut b = ProgramBuilder::new();
-        let c = b.begin_class("C").field("never", Visibility::Private).finish();
+        let c = b
+            .begin_class("C")
+            .field("never", Visibility::Private)
+            .finish();
         let main = b.declare_method("main", None, true, 1, 2);
         {
             let mut m = b.begin_body(main);
@@ -304,7 +306,10 @@ mod tests {
     #[test]
     fn int_field_stays_int() {
         let mut b = ProgramBuilder::new();
-        let c = b.begin_class("C").field("count", Visibility::Private).finish();
+        let c = b
+            .begin_class("C")
+            .field("count", Visibility::Private)
+            .finish();
         let main = b.declare_method("main", None, true, 1, 2);
         {
             let mut m = b.begin_body(main);

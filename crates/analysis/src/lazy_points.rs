@@ -194,7 +194,10 @@ mod tests {
         // A second class with its own slot-0 field must not produce sites.
         let mut b = ProgramBuilder::new();
         let a = b.begin_class("A").field("f", Visibility::Private).finish();
-        let other = b.begin_class("Other").field("g", Visibility::Private).finish();
+        let other = b
+            .begin_class("Other")
+            .field("g", Visibility::Private)
+            .finish();
         let main = b.declare_method("main", None, true, 1, 2);
         {
             let mut m = b.begin_body(main);

@@ -179,7 +179,10 @@ mod tests {
     #[test]
     fn live_through_loop_is_not_a_death_point() {
         let mut b = ProgramBuilder::new();
-        let c = b.begin_class("Buf").field("x", Visibility::Private).finish();
+        let c = b
+            .begin_class("Buf")
+            .field("x", Visibility::Private)
+            .finish();
         let main = b.declare_method("main", None, true, 1, 3);
         {
             let mut m = b.begin_body(main);

@@ -231,10 +231,9 @@ fn local_summary(
             Insn::Print => s.prints = true,
             Insn::MonitorEnter | Insn::MonitorExit => s.uses_monitors = true,
             Insn::Throw => s.throws_explicitly = true,
-            Insn::RetVal
-                if prov.stack(pc, 0) == Prov::This => {
-                    s.receiver_escapes = true;
-                }
+            Insn::RetVal if prov.stack(pc, 0) == Prov::This => {
+                s.receiver_escapes = true;
+            }
             Insn::Load(l) => {
                 if *l > 0 && (*l as usize) < method.num_params as usize {
                     s.reads_other_params = true;
@@ -299,10 +298,7 @@ mod tests {
 
     fn fixture() -> Fixture {
         let mut b = ProgramBuilder::new();
-        let c = b
-            .begin_class("C")
-            .field("x", Visibility::Private)
-            .finish();
+        let c = b.begin_class("C").field("x", Visibility::Private).finish();
         let registry = b.static_var("G.registry", Visibility::Public, Value::Null);
 
         let pure_ctor = b.declare_method("init", Some(c), false, 1, 1);
@@ -443,7 +439,10 @@ mod param_write_tests {
             m.ret();
             m.finish();
         }
-        let c = b.begin_class("C").field("buf", Visibility::Private).finish();
+        let c = b
+            .begin_class("C")
+            .field("buf", Visibility::Private)
+            .finish();
         // Constructor passing a FRESH array to fill: stays effect-free.
         let fresh_ctor = b.declare_method("init", Some(c), false, 1, 2);
         {
@@ -480,7 +479,13 @@ mod param_write_tests {
             m.finish();
         }
         b.set_entry(main);
-        (b.finish().unwrap(), fill, fresh_ctor, pass_through, pass_unknown)
+        (
+            b.finish().unwrap(),
+            fill,
+            fresh_ctor,
+            pass_through,
+            pass_unknown,
+        )
     }
 
     #[test]

@@ -110,10 +110,7 @@ impl ReachingDefs {
             entry_defs,
         };
         let sol = solve(&problem, method, &cfg);
-        ReachingDefs {
-            defs,
-            in_: sol.in_,
-        }
+        ReachingDefs { defs, in_: sol.in_ }
     }
 
     /// All definition sites of the method, entry defs first.
@@ -247,7 +244,11 @@ mod tests {
             .unwrap() as u32;
         let mut defs = chains.defs_for_use(load_pc).unwrap().to_vec();
         defs.sort();
-        assert_eq!(defs.len(), 2, "both branch stores reach the merge: {defs:?}");
+        assert_eq!(
+            defs.len(),
+            2,
+            "both branch stores reach the merge: {defs:?}"
+        );
     }
 
     #[test]

@@ -251,6 +251,9 @@ mod tests {
         let p = b.finish().unwrap();
         let cg = CallGraph::build(&p);
         let u = UsageAnalysis::build(&p, &cg);
-        assert!(u.field_is_read(&p, (base, 0)), "read through Derived receiver");
+        assert!(
+            u.field_is_read(&p, (base, 0)),
+            "read through Derived receiver"
+        );
     }
 }

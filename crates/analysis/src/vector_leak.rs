@@ -100,7 +100,11 @@ mod tests {
         {
             let mut m = b.begin_body(remove);
             // size = size - 1
-            m.load(0).load(0).getfield_named(vec, "size").push_int(1).sub();
+            m.load(0)
+                .load(0)
+                .getfield_named(vec, "size")
+                .push_int(1)
+                .sub();
             m.putfield_named(vec, "size");
             if null_on_remove {
                 // elements[size] = null
@@ -115,7 +119,10 @@ mod tests {
         {
             let mut m = b.begin_body(main);
             m.new_obj(vec).store(1);
-            m.load(1).push_int(4).new_array().putfield_named(vec, "elements");
+            m.load(1)
+                .push_int(4)
+                .new_array()
+                .putfield_named(vec, "elements");
             m.load(1).push_int(1).putfield_named(vec, "size");
             m.load(1).call_virtual("removeLast", 0);
             m.ret();
@@ -131,10 +138,7 @@ mod tests {
         let leaks = find_vector_leaks(&p);
         assert_eq!(leaks.len(), 1);
         assert_eq!(leaks[0].method, remove);
-        assert_eq!(
-            p.classes[leaks[0].class.index()].name,
-            "Vec"
-        );
+        assert_eq!(p.classes[leaks[0].class.index()].name, "Vec");
     }
 
     #[test]

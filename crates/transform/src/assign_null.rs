@@ -17,7 +17,10 @@ use crate::error::TransformError;
 ///
 /// Returns [`TransformError::Analysis`] when type inference fails on the
 /// method (the method is left untouched).
-pub fn assign_null_method(program: &mut Program, method: MethodId) -> Result<usize, TransformError> {
+pub fn assign_null_method(
+    program: &mut Program,
+    method: MethodId,
+) -> Result<usize, TransformError> {
     let mut points = death_points(program, method)?;
     // Insert from the back so earlier pcs stay valid; batch points sharing
     // one pc into a single insertion.
@@ -219,7 +222,10 @@ mod tests {
         let revised = build(true);
         let out1 = Vm::new(&original, VmConfig::default()).run(&[]).unwrap();
         let out2 = Vm::new(&revised, VmConfig::default()).run(&[]).unwrap();
-        assert_eq!(out1.output, out2.output, "nulling the static is output-neutral");
+        assert_eq!(
+            out1.output, out2.output,
+            "nulling the static is output-neutral"
+        );
 
         let run1 = profile(&original, &[], VmConfig::profiling()).unwrap();
         let run2 = profile(&revised, &[], VmConfig::profiling()).unwrap();

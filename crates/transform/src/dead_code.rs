@@ -270,7 +270,12 @@ mod tests {
             m.push_int(0).store(2);
             m.label("loop");
             m.load(2).push_int(50).cmpge().branch("done");
-            m.mark("never-used Shade").new_obj(c).dup().store(1).push_int(5).call(init);
+            m.mark("never-used Shade")
+                .new_obj(c)
+                .dup()
+                .store(1)
+                .push_int(5)
+                .call(init);
             m.push_null().store(1);
             m.load(2).push_int(1).add().store(2);
             m.jump("loop");

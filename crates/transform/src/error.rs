@@ -55,13 +55,21 @@ pub enum TransformError {
 impl fmt::Display for TransformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TransformError::AllocationMayBeUsed { method, pc, witness } => {
+            TransformError::AllocationMayBeUsed {
+                method,
+                pc,
+                witness,
+            } => {
                 write!(f, "allocation at {method}@{pc} may be used: {witness}")
             }
             TransformError::ExceptionObservable { method, pc } => {
                 write!(f, "a handler could observe exceptions of {method}@{pc}")
             }
-            TransformError::UnexpectedShape { method, pc, expected } => {
+            TransformError::UnexpectedShape {
+                method,
+                pc,
+                expected,
+            } => {
                 write!(f, "expected {expected} at {method}@{pc}")
             }
             TransformError::ConstructorImpure { ctor } => {

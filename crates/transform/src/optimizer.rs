@@ -554,7 +554,9 @@ pub fn optimize_iteratively(
         let run = heapdrag_core::profiler::profile(program, input, config.clone())?;
         let report = DragAnalyzer::new().analyze(&run.records, |ch| run.sites.innermost(ch));
         let outcome = optimize(program, &run, &report, options);
-        program.link().expect("transforms keep the program well-formed");
+        program
+            .link()
+            .expect("transforms keep the program well-formed");
         let progressed = !outcome.applied.is_empty();
         combined.applied.extend(outcome.applied);
         combined.refused.extend(outcome.refused);
@@ -577,7 +579,10 @@ mod tests {
     /// One program exhibiting all three patterns at different sites.
     fn mixed_program() -> Program {
         let mut b = ProgramBuilder::new();
-        let c = b.begin_class("Obj").field("f", Visibility::Private).finish();
+        let c = b
+            .begin_class("Obj")
+            .field("f", Visibility::Private)
+            .finish();
         let filler = b.declare_method("filler", None, true, 0, 1);
         {
             let mut m = b.begin_body(filler);
@@ -606,7 +611,10 @@ mod tests {
             // (so its in-use span is visible on the byte clock), then
             // dragged. The read matters: a write-only buffer would be
             // plain dead code to the indirect-usage analysis.
-            m.push_int(3000).mark("site B: dragged buffer").new_array().store(1);
+            m.push_int(3000)
+                .mark("site B: dragged buffer")
+                .new_array()
+                .store(1);
             m.load(1).push_int(0).push_int(3).astore();
             m.push_int(64).new_array().pop(); // clock advances between uses
             m.load(1).push_int(0).aload().pop(); // last use: a *read*
