@@ -6,13 +6,12 @@
 //! allocated at pc *p* flow inside this method?" and "is this `putfield`
 //! receiver the constructor's own receiver?".
 
-use heapdrag_vm::class::Method;
 use heapdrag_vm::ids::MethodId;
 use heapdrag_vm::insn::Insn;
 use heapdrag_vm::program::Program;
 
 use crate::cfg::Cfg;
-use crate::types::returns_value;
+use crate::types::{pushes_int, transfer};
 
 /// Abstract origin of a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,8 +95,9 @@ impl MethodProv {
 }
 
 /// Runs provenance inference over one method. Returns `None` when the
-/// bytecode defeats the simulation (stack mismatch / ambiguous arity);
-/// callers must then treat everything as [`Prov::Other`].
+/// bytecode defeats the simulation (an underflow or a stack mismatch,
+/// which only a program edited after linking can have); callers must then
+/// treat everything as [`Prov::Other`].
 pub fn infer_provenance(program: &Program, method_id: MethodId) -> Option<MethodProv> {
     let method = &program.methods[method_id.index()];
     let cfg = Cfg::build(method);
@@ -132,9 +132,8 @@ pub fn infer_provenance(program: &Program, method_id: MethodId) -> Option<Method
         let mut stack = state.stack;
         let mut locals = state.locals;
 
-        // Pops/pushes per instruction; Other for opaque results.
-        let effect_ok = simulate(program, method, pc, insn, &mut stack, &mut locals);
-        if !effect_ok {
+        let pushed = |_| pushed_prov(pc, insn);
+        if !transfer(program, insn, &mut stack, &mut locals, pushed) {
             return None;
         }
 
@@ -184,138 +183,15 @@ pub fn infer_provenance(program: &Program, method_id: MethodId) -> Option<Method
     Some(MethodProv { before })
 }
 
-fn simulate(
-    program: &Program,
-    method: &Method,
-    pc: u32,
-    insn: Insn,
-    stack: &mut Vec<Prov>,
-    locals: &mut [Prov],
-) -> bool {
-    let _ = method;
-    macro_rules! pop {
-        () => {
-            match stack.pop() {
-                Some(v) => v,
-                None => return false,
-            }
-        };
-    }
+/// The provenance of the value `insn` at `pc` pushes.
+fn pushed_prov(pc: u32, insn: Insn) -> Prov {
     match insn {
-        Insn::PushInt(_) => stack.push(Prov::IntLike),
-        Insn::PushNull => stack.push(Prov::NullConst),
-        Insn::Dup => {
-            let Some(&t) = stack.last() else { return false };
-            stack.push(t);
-        }
-        Insn::Pop => {
-            pop!();
-        }
-        Insn::Swap => {
-            let a = pop!();
-            let b = pop!();
-            stack.push(a);
-            stack.push(b);
-        }
-        Insn::Load(l) => stack.push(locals[l as usize]),
-        Insn::Store(l) => {
-            let v = pop!();
-            locals[l as usize] = v;
-        }
-        Insn::Add | Insn::Sub | Insn::Mul | Insn::Div | Insn::Rem => {
-            pop!();
-            pop!();
-            stack.push(Prov::IntLike);
-        }
-        Insn::Neg => {
-            pop!();
-            stack.push(Prov::IntLike);
-        }
-        Insn::CmpEq | Insn::CmpNe | Insn::CmpLt | Insn::CmpLe | Insn::CmpGt | Insn::CmpGe => {
-            pop!();
-            pop!();
-            stack.push(Prov::IntLike);
-        }
-        Insn::Jump(_) => {}
-        Insn::Branch(_) | Insn::BranchIfNull(_) | Insn::BranchIfNotNull(_) => {
-            pop!();
-        }
-        Insn::New(_) | Insn::NewArray => {
-            if matches!(insn, Insn::NewArray) {
-                pop!();
-            }
-            stack.push(Prov::Alloc(pc));
-        }
-        Insn::GetField(_) => {
-            pop!();
-            stack.push(Prov::Other);
-        }
-        Insn::PutField(_) => {
-            pop!();
-            pop!();
-        }
-        Insn::ALoad => {
-            pop!();
-            pop!();
-            stack.push(Prov::Other);
-        }
-        Insn::AStore => {
-            pop!();
-            pop!();
-            pop!();
-        }
-        Insn::ArrayLen => {
-            pop!();
-            stack.push(Prov::IntLike);
-        }
-        Insn::InstanceOf(_) => {
-            pop!();
-            stack.push(Prov::IntLike);
-        }
-        Insn::GetStatic(_) => stack.push(Prov::Other),
-        Insn::PutStatic(_) => {
-            pop!();
-        }
-        Insn::Call(target) => {
-            let callee = &program.methods[target.index()];
-            for _ in 0..callee.num_params {
-                pop!();
-            }
-            match returns_value(callee) {
-                Ok(true) => stack.push(Prov::Other),
-                Ok(false) => {}
-                Err(_) => return false,
-            }
-        }
-        Insn::CallVirtual { vslot, argc } => {
-            for _ in 0..=argc {
-                pop!();
-            }
-            // All CHA targets must agree on returning a value.
-            let mut rv: Option<bool> = None;
-            for class in &program.classes {
-                if let Some(Some(mid)) = class.vtable.get(vslot.index()).copied() {
-                    match returns_value(&program.methods[mid.index()]) {
-                        Ok(r) => match rv {
-                            None => rv = Some(r),
-                            Some(prev) if prev != r => return false,
-                            _ => {}
-                        },
-                        Err(_) => return false,
-                    }
-                }
-            }
-            if rv == Some(true) {
-                stack.push(Prov::Other);
-            }
-        }
-        Insn::Ret => {}
-        Insn::RetVal | Insn::Throw | Insn::Print | Insn::MonitorEnter | Insn::MonitorExit => {
-            pop!();
-        }
-        Insn::Nop => {}
+        Insn::PushNull => Prov::NullConst,
+        Insn::New(_) | Insn::NewArray => Prov::Alloc(pc),
+        _ if pushes_int(insn) => Prov::IntLike,
+        // Field, element and static reads and call results.
+        _ => Prov::Other,
     }
-    true
 }
 
 #[cfg(test)]

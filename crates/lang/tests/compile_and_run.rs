@@ -6,7 +6,6 @@ use heapdrag_vm::interp::{Vm, VmConfig};
 
 fn run(src: &str, input: &[i64]) -> Vec<i64> {
     let program = compile_source(src).unwrap_or_else(|e| panic!("compile failed: {e}"));
-    heapdrag_vm::verify::verify_program(&program).expect("compiled code verifies");
     Vm::new(&program, VmConfig::default())
         .run(input)
         .unwrap_or_else(|e| panic!("run failed: {e}"))

@@ -25,8 +25,8 @@
 //!
 //! Every generated statement has net-zero stack effect and every jump
 //! label is placed at stack depth 0 (handler entries at depth 1, matching
-//! the verifier's model), so the output always passes
-//! [`verify_program`]. Runtime exceptions (divide-by-zero, null receiver,
+//! the verifier's model), so the output always passes the verifier that
+//! [`Program::link`] runs. Runtime exceptions (divide-by-zero, null receiver,
 //! index out of bounds) are intended and either caught by generated
 //! handlers or surface as identical errors from both interpreters.
 //!
@@ -39,7 +39,6 @@ use heapdrag_vm::class::Visibility;
 use heapdrag_vm::ids::{ClassId, MethodId, StaticId};
 use heapdrag_vm::program::Program;
 use heapdrag_vm::value::Value;
-use heapdrag_vm::verify::verify_program;
 
 use crate::rng::Rng;
 
@@ -385,8 +384,8 @@ fn visit_body(m: &mut MethodBuilder<'_>, g: &mut Gen<'_>, shape: &Shape) {
 
 /// Builds a program and a matching input vector from `rng`.
 ///
-/// The program is checked against the bytecode verifier before being
-/// returned, so a generator bug panics here (replayable via the property
+/// The program is linked, and so verified, before being returned, so a
+/// generator bug panics here (replayable via the property
 /// runner's reported seed) instead of surfacing as a confusing
 /// differential failure.
 pub fn random_program(rng: &mut Rng) -> (Program, Vec<i64>) {
@@ -544,7 +543,6 @@ pub fn random_program(rng: &mut Rng) -> (Program, Vec<i64>) {
     b.set_entry(main);
 
     let program = b.finish().expect("generated program failed to link");
-    verify_program(&program).expect("generated program failed verification");
 
     let len = g.rng.range_usize(1, 9);
     let input: Vec<i64> = (0..len).map(|_| g.rng.range_i64(-50, 51)).collect();

@@ -154,6 +154,12 @@ pub struct Method {
     /// Optional human-readable labels for individual pcs, surfaced in
     /// profiler reports ("the line of source at this site").
     pub site_labels: BTreeMap<u32, String>,
+    /// True when the method returns a value (its code holds `retval`, and
+    /// then no `ret`). Populated at link time.
+    pub returns_value: bool,
+    /// The exact maximum operand-stack depth of any path through the
+    /// method, found by the verifier. Populated at link time.
+    pub max_stack: usize,
 }
 
 impl Method {
@@ -168,6 +174,8 @@ impl Method {
             code: Vec::new(),
             handlers: Vec::new(),
             site_labels: BTreeMap::new(),
+            returns_value: false,
+            max_stack: 0,
         }
     }
 

@@ -10,6 +10,7 @@
 use std::fmt;
 
 use crate::ids::{ClassId, MethodId, StaticId, VSlot};
+use crate::program::Program;
 
 /// A single bytecode instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -247,6 +248,47 @@ impl Insn {
             Insn::MonitorEnter | Insn::MonitorExit => OpcodeClass::Monitor,
             Insn::Throw => OpcodeClass::Throw,
             Insn::Print => OpcodeClass::Io,
+        }
+    }
+
+    /// The instruction's operand-stack effect `(pops, pushes)` — the one
+    /// stack-effect table of the workspace, shared by the verifier, the
+    /// frame sizing of [`predecode`](crate::predecode) and the static
+    /// analyses.
+    ///
+    /// A call pops its arguments (an instance call its receiver too) and
+    /// pushes one value when its targets return one. Whether they do is
+    /// decided by [`Program::link`] ([`Method::returns_value`] and
+    /// [`Program::selector_returns`]), so `program` must be linked.
+    ///
+    /// [`Method::returns_value`]: crate::class::Method::returns_value
+    pub fn stack_effect(&self, program: &Program) -> (usize, usize) {
+        use Insn::*;
+        match self {
+            PushInt(_) | PushNull | Load(_) | GetStatic(_) | New(_) => (0, 1),
+            Dup => (1, 2),
+            Swap => (2, 2),
+            Pop | Store(_) | PutStatic(_) | RetVal | MonitorEnter | MonitorExit | Throw | Print => {
+                (1, 0)
+            }
+            Branch(_) | BranchIfNull(_) | BranchIfNotNull(_) => (1, 0),
+            Neg | NewArray | GetField(_) | ArrayLen | InstanceOf(_) => (1, 1),
+            Add | Sub | Mul | Div | Rem | ALoad => (2, 1),
+            CmpEq | CmpNe | CmpLt | CmpLe | CmpGt | CmpGe => (2, 1),
+            PutField(_) => (2, 0),
+            AStore => (3, 0),
+            Jump(_) | Ret | Nop => (0, 0),
+            Call(target) => {
+                let callee = &program.methods[target.index()];
+                (
+                    callee.num_params as usize,
+                    usize::from(callee.returns_value),
+                )
+            }
+            CallVirtual { vslot, argc } => (
+                *argc as usize + 1,
+                usize::from(program.selector_returns[vslot.index()]),
+            ),
         }
     }
 

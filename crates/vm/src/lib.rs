@@ -65,7 +65,7 @@ pub mod program;
 pub mod retain;
 pub mod site;
 pub mod value;
-pub mod verify;
+mod verify;
 
 pub use builder::ProgramBuilder;
 pub use error::VmError;

@@ -35,13 +35,6 @@ use crate::ids::{ChainId, ClassId, MethodId, StaticId, VSlot};
 use crate::insn::{Insn, OpcodeClass};
 use crate::program::Program;
 
-/// Extra operand-stack capacity reserved beyond the statically estimated
-/// maximum depth, so small estimate misses never cause a mid-run regrow.
-pub const STACK_HEADROOM: usize = 8;
-
-/// Minimum pre-grown operand-stack capacity for any frame.
-pub const MIN_STACK_CAPACITY: usize = 8;
-
 /// A pre-decoded operation. One per original [`Insn`], at the same pc.
 ///
 /// Payload-free instructions lower to payload-free variants; instructions
@@ -314,13 +307,16 @@ impl Op {
     }
 }
 
-/// One pre-decoded method: the op stream plus a pre-grow hint for frames.
+/// One pre-decoded method: the op stream plus the operand-stack capacity
+/// of its frames.
 #[derive(Debug, Clone, Default)]
 pub struct PredecodedMethod {
     /// One op per original instruction, at the same index.
     pub ops: Vec<Op>,
-    /// Operand-stack capacity to reserve for frames of this method
-    /// (estimated maximum depth plus [`STACK_HEADROOM`]).
+    /// Operand-stack capacity to reserve for frames of this method: the
+    /// exact maximum depth [`Program::link`] found
+    /// ([`Method::max_stack`]), so a frame of a linked program never
+    /// regrows its stack.
     pub stack_capacity: usize,
 }
 
@@ -535,54 +531,6 @@ fn lower(program: &Program, insn: &Insn, c: &mut IcCounters) -> Op {
     }
 }
 
-/// A conservative linear estimate of the method's maximum operand-stack
-/// depth, used only as a pre-grow capacity hint (never for checking).
-fn estimate_stack_depth(program: &Program, method: &Method) -> usize {
-    let mut depth: usize = 0;
-    let mut max = 0;
-    for insn in &method.code {
-        let (pops, pushes) = match insn {
-            Insn::PushInt(_) | Insn::PushNull | Insn::Load(_) | Insn::GetStatic(_) => (0, 1),
-            Insn::Dup => (1, 2),
-            Insn::Pop
-            | Insn::Store(_)
-            | Insn::Branch(_)
-            | Insn::BranchIfNull(_)
-            | Insn::BranchIfNotNull(_)
-            | Insn::PutStatic(_)
-            | Insn::RetVal
-            | Insn::MonitorEnter
-            | Insn::MonitorExit
-            | Insn::Throw
-            | Insn::Print => (1, 0),
-            Insn::Swap => (2, 2),
-            Insn::Add | Insn::Sub | Insn::Mul | Insn::Div | Insn::Rem => (2, 1),
-            Insn::Neg
-            | Insn::NewArray
-            | Insn::GetField(_)
-            | Insn::ArrayLen
-            | Insn::InstanceOf(_) => (1, 1),
-            Insn::CmpEq | Insn::CmpNe | Insn::CmpLt | Insn::CmpLe | Insn::CmpGt | Insn::CmpGe => {
-                (2, 1)
-            }
-            Insn::Jump(_) | Insn::Ret | Insn::Nop => (0, 0),
-            Insn::New(_) => (0, 1),
-            Insn::PutField(_) => (2, 0),
-            Insn::ALoad => (2, 1),
-            Insn::AStore => (3, 0),
-            Insn::Call(target) => {
-                let callee = &program.methods[target.index()];
-                let pushes = usize::from(callee.code.iter().any(|i| matches!(i, Insn::RetVal)));
-                (callee.num_params as usize, pushes)
-            }
-            Insn::CallVirtual { argc, .. } => (*argc as usize + 1, 1),
-        };
-        depth = depth.saturating_sub(pops) + pushes;
-        max = max.max(depth);
-    }
-    max
-}
-
 /// Lowers every method of `program`. Requires a linked program (class
 /// layouts, vtables, and jump targets resolved — [`Program::link`] validates
 /// branch targets and local indices, which is why the fast loop can index
@@ -638,8 +586,7 @@ fn predecode_method(program: &Program, method: &Method, c: &mut IcCounters) -> P
 
     PredecodedMethod {
         ops,
-        stack_capacity: (estimate_stack_depth(program, method) + STACK_HEADROOM)
-            .max(MIN_STACK_CAPACITY),
+        stack_capacity: method.max_stack,
     }
 }
 
@@ -709,9 +656,37 @@ mod tests {
     }
 
     #[test]
-    fn stack_capacity_covers_straight_line_depth() {
-        let p = counted_loop_program();
+    fn stack_capacity_covers_the_exact_depth_of_a_branching_method() {
+        // `main` parks ten values, then branches. The fall-through path
+        // pops them and returns; the taken path pushes ten more, reaching
+        // depth 20. A walk in code order restarts the taken path at the
+        // depth left after the `ret` (0) and would see at most 11.
+        let mut b = ProgramBuilder::new();
+        let main = b.declare_method("main", None, true, 1, 1);
+        {
+            let mut m = b.begin_body(main);
+            for i in 0..10 {
+                m.push_int(i);
+            }
+            m.load(0).array_len().branch("deep");
+            for _ in 0..10 {
+                m.pop();
+            }
+            m.ret();
+            m.label("deep");
+            for i in 0..10 {
+                m.push_int(i);
+            }
+            for _ in 0..20 {
+                m.pop();
+            }
+            m.ret();
+            m.finish();
+        }
+        b.set_entry(main);
+        let p = b.finish().unwrap();
+        assert_eq!(p.methods[main.index()].max_stack, 20);
         let pre = predecode(&p);
-        assert!(pre.methods[p.entry.index()].stack_capacity >= 2 + STACK_HEADROOM);
+        assert!(pre.methods[main.index()].stack_capacity >= 20);
     }
 }

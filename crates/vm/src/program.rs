@@ -50,6 +50,10 @@ pub struct Program {
     pub statics: Vec<StaticDef>,
     /// Selector names, indexed by [`VSlot`].
     pub selectors: Vec<String>,
+    /// Whether the targets of each selector return a value, indexed by
+    /// [`VSlot`]; `false` for a selector no class responds to. Populated at
+    /// link time.
+    pub selector_returns: Vec<bool>,
     /// The entry method; must be static.
     pub entry: MethodId,
     /// Ids of the builtin classes.
@@ -81,6 +85,7 @@ impl Program {
             methods: Vec::new(),
             statics: Vec::new(),
             selectors: Vec::new(),
+            selector_returns: Vec::new(),
             entry: MethodId(0),
             builtins: Builtins {
                 object,
@@ -93,18 +98,26 @@ impl Program {
         }
     }
 
-    /// Resolves field layouts, vtables, and validates bytecode.
+    /// Resolves field layouts, vtables and return kinds, validates the
+    /// bytecode and runs the stack verifier over every method, so a linked
+    /// program is a verified one.
     ///
     /// # Errors
     ///
     /// Returns [`VmError::LinkError`] on cyclic inheritance, duplicate field
-    /// names within a layout, or a non-static entry method, and
+    /// names within a layout, a non-static entry method, or a selector
+    /// whose targets disagree on returning a value, and
     /// [`VmError::InvalidBytecode`] for out-of-range ids, locals, or jump
-    /// targets.
+    /// targets, a method that mixes `ret` and `retval`, and every stack
+    /// fault the verifier finds.
     pub fn link(&mut self) -> Result<(), VmError> {
         self.link_layouts()?;
         self.link_vtables()?;
         self.validate()?;
+        self.link_returns()?;
+        for mid in 0..self.methods.len() {
+            self.methods[mid].max_stack = crate::verify::verify_method(self, MethodId(mid as u32))?;
+        }
         Ok(())
     }
 
@@ -189,6 +202,39 @@ impl Program {
             }
             self.classes[id.index()].vtable = vtable;
         }
+        Ok(())
+    }
+
+    /// Decides once whether each method and each selector returns a
+    /// value, the fact the stack effect of a call depends on.
+    fn link_returns(&mut self) -> Result<(), VmError> {
+        for (mi, m) in self.methods.iter_mut().enumerate() {
+            let ret = m.code.iter().position(|i| matches!(i, Insn::Ret));
+            let retval = m.code.iter().position(|i| matches!(i, Insn::RetVal));
+            if let (Some(a), Some(b)) = (ret, retval) {
+                return Err(VmError::InvalidBytecode {
+                    method: MethodId(mi as u32),
+                    pc: a.max(b) as u32,
+                    reason: format!("method `{}` mixes ret and retval", m.name),
+                });
+            }
+            m.returns_value = retval.is_some();
+        }
+        let mut returns = Vec::with_capacity(self.selectors.len());
+        for (slot, name) in self.selectors.iter().enumerate() {
+            let mut kinds = self.classes.iter().filter_map(|c| {
+                let target = c.vtable.get(slot).copied().flatten()?;
+                Some(self.methods[target.index()].returns_value)
+            });
+            let first = kinds.next().unwrap_or(false);
+            if kinds.any(|rv| rv != first) {
+                return Err(VmError::LinkError(format!(
+                    "targets of selector `{name}` disagree on returning a value"
+                )));
+            }
+            returns.push(first);
+        }
+        self.selector_returns = returns;
         Ok(())
     }
 
@@ -504,6 +550,50 @@ mod tests {
         m.code = vec![Insn::Ret];
         p.methods.push(m);
         assert!(matches!(p.link(), Err(VmError::LinkError(_))));
+    }
+
+    #[test]
+    fn link_decides_return_kinds_once() {
+        let mut p = two_class_program();
+        let base = p.class_by_name("Base").unwrap();
+        let derived = p.class_by_name("Derived").unwrap();
+        for (class, code) in [
+            (base, vec![Insn::PushInt(1), Insn::RetVal]),
+            (derived, vec![Insn::Ret]),
+        ] {
+            let mut m = Method::new("get", 1, 1);
+            m.class = Some(class);
+            m.is_static = false;
+            m.code = code;
+            p.methods.push(m);
+        }
+        // Overrides that disagree on returning a value are rejected, even
+        // before any call site uses the selector.
+        let err = p.link().unwrap_err();
+        assert!(
+            matches!(&err, VmError::LinkError(m) if m.contains("`get` disagree")),
+            "{err}"
+        );
+        p.methods[2].code = vec![Insn::PushInt(2), Insn::RetVal];
+        p.link().unwrap();
+        assert!(p.methods[1].returns_value && !p.methods[0].returns_value);
+        assert_eq!(p.selector_returns, vec![true]);
+
+        // One method mixing both return kinds is rejected at the later one.
+        p.methods[1].code = vec![Insn::Ret, Insn::PushInt(0), Insn::RetVal];
+        let err = p.link().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                VmError::InvalidBytecode {
+                    method: MethodId(1),
+                    pc: 2,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("mixes ret and retval"), "{err}");
     }
 
     #[test]

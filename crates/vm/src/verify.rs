@@ -1,104 +1,34 @@
-//! Static stack-discipline verification — a lightweight bytecode verifier
-//! run over assembled programs before execution, catching underflows and
-//! inconsistent stack depths at join points without executing anything.
+//! Static stack-discipline verification, run by [`Program::link`] over
+//! every method: no operand-stack underflow, one depth at every join,
+//! exactly the thrown reference entering each handler, no control falling
+//! off the end of a method, and call arities that match their targets.
 //!
-//! This checks *depths* only (the heapdrag-analysis crate performs full
-//! type inference); it is deliberately dependency-free so the assembler
-//! and the CLI can use it.
+//! The dataflow follows the instruction set's one stack-effect table,
+//! [`Insn::stack_effect`], and yields each method's exact maximum depth,
+//! which link stores in [`Method::max_stack`](crate::class::Method) for
+//! frame sizing. Values are not typed: fields, array elements, statics and
+//! parameters carry no declared type in this VM. `Program` fields stay
+//! public, so the interpreters keep their own run-time stack checks for
+//! programs edited after link.
 
-use crate::class::Method;
 use crate::error::VmError;
 use crate::ids::MethodId;
 use crate::insn::Insn;
 use crate::program::Program;
 
-/// Net stack effect and minimum required depth of one instruction.
-///
-/// Returns `(pops, pushes)`. `Call`/`CallVirtual` effects depend on the
-/// callee and are resolved against `program`.
-fn effect(program: &Program, insn: &Insn) -> Result<(usize, usize), String> {
-    use Insn::*;
-    Ok(match insn {
-        PushInt(_) | PushNull => (0, 1),
-        Dup => (1, 2),
-        Pop => (1, 0),
-        Swap => (2, 2),
-        Load(_) => (0, 1),
-        Store(_) => (1, 0),
-        Add | Sub | Mul | Div | Rem => (2, 1),
-        Neg => (1, 1),
-        CmpEq | CmpNe | CmpLt | CmpLe | CmpGt | CmpGe => (2, 1),
-        Jump(_) => (0, 0),
-        Branch(_) | BranchIfNull(_) | BranchIfNotNull(_) => (1, 0),
-        New(_) => (0, 1),
-        NewArray => (1, 1),
-        GetField(_) => (1, 1),
-        PutField(_) => (2, 0),
-        ALoad => (2, 1),
-        AStore => (3, 0),
-        ArrayLen => (1, 1),
-        InstanceOf(_) => (1, 1),
-        GetStatic(_) => (0, 1),
-        PutStatic(_) => (1, 0),
-        Call(target) => {
-            let callee = &program.methods[target.index()];
-            let pushes = usize::from(returns_value(callee)?);
-            (callee.num_params as usize, pushes)
-        }
-        CallVirtual { vslot, argc } => {
-            let pushes = usize::from(selector_returns(program, vslot.index())?);
-            (*argc as usize + 1, pushes)
-        }
-        Ret => (0, 0),
-        RetVal => (1, 0),
-        MonitorEnter | MonitorExit => (1, 0),
-        Throw => (1, 0),
-        Print => (1, 0),
-        Nop => (0, 0),
-    })
-}
-
-fn returns_value(method: &Method) -> Result<bool, String> {
-    let has_ret = method.code.iter().any(|i| matches!(i, Insn::Ret));
-    let has_retval = method.code.iter().any(|i| matches!(i, Insn::RetVal));
-    match (has_ret, has_retval) {
-        (true, true) => Err(format!("method `{}` mixes ret and retval", method.name)),
-        (_, rv) => Ok(rv),
-    }
-}
-
-fn selector_returns(program: &Program, vslot: usize) -> Result<bool, String> {
-    let mut found = None;
-    for class in &program.classes {
-        if let Some(Some(mid)) = class.vtable.get(vslot).copied() {
-            let rv = returns_value(&program.methods[mid.index()])?;
-            match found {
-                None => found = Some(rv),
-                Some(prev) if prev != rv => {
-                    return Err(format!(
-                        "targets of selector `{}` disagree on returning a value",
-                        program.selectors[vslot]
-                    ))
-                }
-                _ => {}
-            }
-        }
-    }
-    Ok(found.unwrap_or(false))
-}
-
-/// Verifies stack discipline for one method: no underflow, consistent
-/// depths at every join, depth ≥ 1 entering exception handlers.
+/// Verifies stack discipline for one method of a program whose ids are
+/// validated and whose return kinds are decided, and returns its maximum
+/// operand-stack depth.
 ///
 /// # Errors
 ///
 /// Returns [`VmError::InvalidBytecode`] naming the first offending pc.
-pub fn verify_method(program: &Program, method_id: MethodId) -> Result<(), VmError> {
+pub(crate) fn verify_method(program: &Program, method_id: MethodId) -> Result<usize, VmError> {
     let method = &program.methods[method_id.index()];
     let n = method.code.len();
     let mut depth_at: Vec<Option<usize>> = vec![None; n];
     if n == 0 {
-        return Ok(());
+        return Ok(0);
     }
     let bad = |pc: u32, reason: String| VmError::InvalidBytecode {
         method: method_id,
@@ -106,11 +36,12 @@ pub fn verify_method(program: &Program, method_id: MethodId) -> Result<(), VmErr
         reason,
     };
     depth_at[0] = Some(0);
+    let mut max = 0;
     let mut work = vec![0u32];
     while let Some(pc) = work.pop() {
         let depth = depth_at[pc as usize].expect("queued pcs have depths");
         let insn = &method.code[pc as usize];
-        let (pops, pushes) = effect(program, insn).map_err(|m| bad(pc, m))?;
+        let (pops, pushes) = insn.stack_effect(program);
         if depth < pops {
             return Err(bad(
                 pc,
@@ -118,6 +49,7 @@ pub fn verify_method(program: &Program, method_id: MethodId) -> Result<(), VmErr
             ));
         }
         let out = depth - pops + pushes;
+        max = max.max(depth).max(out);
 
         let mut propagate = |target: u32, d: usize, work: &mut Vec<u32>| -> Result<(), VmError> {
             match depth_at[target as usize] {
@@ -158,51 +90,46 @@ pub fn verify_method(program: &Program, method_id: MethodId) -> Result<(), VmErr
             }
         }
     }
-    Ok(())
-}
-
-/// Verifies every method of the program.
-///
-/// # Errors
-///
-/// Returns the first failure; see [`verify_method`].
-pub fn verify_program(program: &Program) -> Result<(), VmError> {
-    for mid in 0..program.methods.len() as u32 {
-        verify_method(program, MethodId(mid))?;
-    }
-    Ok(())
+    Ok(max)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::builder::ProgramBuilder;
+    use crate::class::{Handler, Method};
+    use crate::error::VmError;
+    use crate::insn::Insn;
+    use crate::program::Program;
 
-    fn program_with_main(code: Vec<Insn>) -> Program {
+    fn link_main(code: Vec<Insn>, handlers: Vec<Handler>) -> Result<Program, VmError> {
         let mut p = Program::empty();
         let mut main = Method::new("main", 1, 4);
         main.code = code;
+        main.handlers = handlers;
         p.methods.push(main);
-        p.link().unwrap();
-        p
+        p.link()?;
+        Ok(p)
     }
 
     #[test]
     fn balanced_program_verifies() {
-        let p = program_with_main(vec![
-            Insn::PushInt(1),
-            Insn::PushInt(2),
-            Insn::Add,
-            Insn::Print,
-            Insn::Ret,
-        ]);
-        verify_program(&p).unwrap();
+        let p = link_main(
+            vec![
+                Insn::PushInt(1),
+                Insn::PushInt(2),
+                Insn::Add,
+                Insn::Print,
+                Insn::Ret,
+            ],
+            vec![],
+        )
+        .unwrap();
+        assert_eq!(p.methods[0].max_stack, 2);
     }
 
     #[test]
-    fn underflow_is_rejected() {
-        let p = program_with_main(vec![Insn::Pop, Insn::Ret]);
-        let err = verify_program(&p).unwrap_err();
+    fn link_rejects_underflow() {
+        let err = link_main(vec![Insn::Pop, Insn::Ret], vec![]).unwrap_err();
         assert!(
             matches!(err, VmError::InvalidBytecode { pc: 0, .. }),
             "{err}"
@@ -211,18 +138,25 @@ mod tests {
     }
 
     #[test]
-    fn inconsistent_join_is_rejected() {
+    fn link_rejects_inconsistent_join() {
         // One path pushes before the join, the other doesn't.
         //   0: push 1 ; 1: branch 4 ; 2: push 7 ; 3: push 8 ; 4: print; 5: ret
-        let p = program_with_main(vec![
-            Insn::PushInt(1),
-            Insn::Branch(4),
-            Insn::PushInt(7),
-            Insn::PushInt(8),
-            Insn::Print,
-            Insn::Ret,
-        ]);
-        let err = verify_program(&p).unwrap_err();
+        let err = link_main(
+            vec![
+                Insn::PushInt(1),
+                Insn::Branch(4),
+                Insn::PushInt(7),
+                Insn::PushInt(8),
+                Insn::Print,
+                Insn::Ret,
+            ],
+            vec![],
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, VmError::InvalidBytecode { pc: 4, .. }),
+            "{err}"
+        );
         assert!(
             err.to_string().contains("inconsistent stack depth"),
             "{err}"
@@ -230,73 +164,70 @@ mod tests {
     }
 
     #[test]
-    fn falling_off_the_end_is_rejected() {
-        let p = program_with_main(vec![Insn::PushInt(1), Insn::Pop]);
-        let err = verify_program(&p).unwrap_err();
+    fn link_rejects_falling_off_the_end() {
+        let err = link_main(vec![Insn::PushInt(1), Insn::Pop], vec![]).unwrap_err();
+        assert!(
+            matches!(err, VmError::InvalidBytecode { pc: 1, .. }),
+            "{err}"
+        );
         assert!(err.to_string().contains("falls off"), "{err}");
     }
 
     #[test]
     fn handler_entry_depth_is_one() {
-        let mut p = Program::empty();
-        let mut main = Method::new("main", 1, 2);
         // try { 1/0 } catch { pop; ret }
-        main.code = vec![
-            Insn::PushInt(1),
-            Insn::PushInt(0),
-            Insn::Div,
-            Insn::Pop,
-            Insn::Ret,
-            Insn::Pop, // handler at 5: pops the exception ref
-            Insn::Ret,
-        ];
-        main.handlers.push(crate::class::Handler {
-            start_pc: 0,
-            end_pc: 4,
-            handler_pc: 5,
-            catch: None,
-        });
-        p.methods.push(main);
-        p.link().unwrap();
-        verify_program(&p).unwrap();
+        let p = link_main(
+            vec![
+                Insn::PushInt(1),
+                Insn::PushInt(0),
+                Insn::Div,
+                Insn::Pop,
+                Insn::Ret,
+                Insn::Pop, // handler at 5: pops the exception ref
+                Insn::Ret,
+            ],
+            vec![Handler {
+                start_pc: 0,
+                end_pc: 4,
+                handler_pc: 5,
+                catch: None,
+            }],
+        )
+        .unwrap();
+        assert_eq!(p.methods[0].max_stack, 2);
     }
 
     #[test]
-    fn calls_account_for_arity() {
-        let mut b = ProgramBuilder::new();
-        let f = b.declare_method("f", None, true, 2, 2);
-        {
-            let mut m = b.begin_body(f);
-            m.load(0).load(1).add().ret_val();
-            m.finish();
-        }
-        let main = b.declare_method("main", None, true, 1, 1);
-        {
-            let mut m = b.begin_body(main);
-            m.push_int(1).push_int(2).call(f).print().ret();
-            m.finish();
-        }
-        b.set_entry(main);
-        let p = b.finish().unwrap();
-        verify_program(&p).unwrap();
-
-        // Under-supplying arguments is an underflow.
-        let mut b = ProgramBuilder::new();
-        let f = b.declare_method("f", None, true, 2, 2);
-        {
-            let mut m = b.begin_body(f);
-            m.load(0).load(1).add().ret_val();
-            m.finish();
-        }
-        let main = b.declare_method("main", None, true, 1, 1);
-        {
-            let mut m = b.begin_body(main);
-            m.push_int(1).call(f).print().ret();
-            m.finish();
-        }
-        b.set_entry(main);
-        let p = b.finish().unwrap();
-        assert!(verify_program(&p).is_err());
+    fn link_checks_call_arity() {
+        let build = |args: usize| {
+            let mut b = ProgramBuilder::new();
+            let f = b.declare_method("f", None, true, 2, 2);
+            {
+                let mut m = b.begin_body(f);
+                m.load(0).load(1).add().ret_val();
+                m.finish();
+            }
+            let main = b.declare_method("main", None, true, 1, 1);
+            {
+                let mut m = b.begin_body(main);
+                for i in 0..args {
+                    m.push_int(i as i64);
+                }
+                m.call(f).print().ret();
+                m.finish();
+            }
+            b.set_entry(main);
+            b.finish().map(|p| (p, main))
+        };
+        let (p, main) = build(2).unwrap();
+        assert_eq!(p.methods[main.index()].max_stack, 2);
+        // Under-supplying arguments is an underflow at the call.
+        let err = build(1).unwrap_err();
+        assert!(
+            matches!(err, VmError::InvalidBytecode { method, pc: 1, .. } if method.0 == 1),
+            "{err}"
+        );
+        assert!(err.to_string().contains("underflow"), "{err}");
     }
 
     #[test]
@@ -316,6 +247,6 @@ mod tests {
         }
         b.set_entry(main);
         let p = b.finish().unwrap();
-        verify_program(&p).unwrap();
+        assert_eq!(p.methods[main.index()].max_stack, 2);
     }
 }

@@ -180,8 +180,8 @@ fn build(spec: &ProgSpec) -> Program {
 #[test]
 fn generated_programs_pass_the_verifier() {
     check("generated_programs_pass_the_verifier", 48, |rng| {
-        let p = build(&prog(rng));
-        heapdrag_vm::verify::verify_program(&p).expect("builder output verifies");
+        let mut p = build(&prog(rng));
+        p.link().expect("builder output relinks and verifies");
     });
 }
 

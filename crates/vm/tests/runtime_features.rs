@@ -303,7 +303,7 @@ fn oom_throws_into_the_program_after_a_forced_gc() {
         m.label("grow");
         // allocate and retain forever via an escaping chain: arr[0] = prev
         m.push_int(120).new_array();
-        m.dup().push_int(0).load(1).swap().pop().astore(); // arr[0] = 0 (dummy)
+        m.dup().push_int(0).load(1).astore(); // arr[0] = prev
         m.store(1); // keep only the newest — still, below, we retain
         m.jump("grow");
         m.label("end");

@@ -23,6 +23,7 @@ use heapdrag_vm::builder::ProgramBuilder;
 use heapdrag_vm::class::Visibility;
 use heapdrag_vm::error::VmError;
 use heapdrag_vm::ids::MethodId;
+use heapdrag_vm::insn::Insn;
 use heapdrag_vm::interp::{InterpreterKind, RunOutcome, Vm, VmConfig};
 use heapdrag_vm::program::Program;
 use heapdrag_vm::value::Value;
@@ -141,7 +142,7 @@ fn unwind_searches_past_non_matching_intermediate_handlers() {
         m.label("fs");
         m.call(g);
         m.label("fe");
-        m.ret_val();
+        m.push_int(0).ret_val();
         m.label("fh").pop().push_int(-9).ret_val();
         m.handler("fs", "fe", "fh", Some(exc));
         m.finish();
@@ -209,16 +210,19 @@ fn throw_escaping_a_finalizer_is_swallowed() {
 fn fused_second_half_underflow_matches_reference_attribution() {
     // `push 5; add` fuses into PushIntAdd; the underflow happens while
     // popping the *second* operand, so both interpreters must report the
-    // add's pc (1), not the push's (0).
+    // add's pc (1), not the push's (0). Link rejects that code, so it is
+    // put in place after linking: the interpreters' own underflow check
+    // exists for programs edited after link (their fields are public).
     let mut b = ProgramBuilder::new();
     let main = b.declare_method("main", None, true, 1, 1);
     {
         let mut m = b.begin_body(main);
-        m.push_int(5).add().pop().ret();
+        m.ret();
         m.finish();
     }
     b.set_entry(main);
-    let p = b.finish().unwrap();
+    let mut p = b.finish().unwrap();
+    p.methods[main.index()].code = vec![Insn::PushInt(5), Insn::Add, Insn::Pop, Insn::Ret];
     let err = run_both(&p, VmConfig::default()).expect_err("underflows");
     assert_eq!(
         err,
@@ -227,6 +231,10 @@ fn fused_second_half_underflow_matches_reference_attribution() {
             pc: 1
         }
     );
+    match p.link() {
+        Err(VmError::InvalidBytecode { method, pc: 1, .. }) if method == main => {}
+        other => panic!("link must reject the add at pc 1, got {other:?}"),
+    }
 }
 
 #[test]

@@ -108,9 +108,8 @@ mod tests {
     #[test]
     fn every_variant_passes_the_bytecode_verifier() {
         for w in all_workloads() {
-            for p in [w.original(), w.revised()] {
-                heapdrag_vm::verify::verify_program(&p)
-                    .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            for mut p in [w.original(), w.revised()] {
+                p.link().unwrap_or_else(|e| panic!("{}: {e}", w.name));
             }
         }
     }

@@ -679,7 +679,6 @@ fn load_program(path: &str) -> Result<Program, String> {
     } else {
         assemble(&text).map_err(|e| format!("{path}: {e}"))?
     };
-    heapdrag::vm::verify::verify_program(&program).map_err(|e| format!("{path}: {e}"))?;
     Ok(program)
 }
 

@@ -17,17 +17,16 @@
 //! Two targeted checks ride along: frames that finalizers push (they run
 //! on the reference loop under both interpreters), and hostile bytecode —
 //! generated programs with one operand or opcode mutated, which must be
-//! rejected by the linker or verifier or run to the same result, or the
-//! same error, under both interpreters.
+//! rejected by the linker (which verifies) or run to the same result, or
+//! the same error, under both interpreters.
 
 use heapdrag::core::{
     profile, DragAnalyzer, LogFormat, Pipeline, ProfileRun, ReportSections, VmConfig,
 };
 use heapdrag::vm::builder::ProgramBuilder;
 use heapdrag::vm::class::Visibility;
-use heapdrag::vm::verify::verify_program;
 use heapdrag::vm::{
-    ClassId, Insn, InterpreterKind, MethodId, Program, SiteId, StaticId, Value, Vm,
+    ClassId, Insn, InterpreterKind, MethodId, Program, SiteId, StaticId, Value, Vm, VmError,
 };
 use heapdrag::workloads::all_workloads;
 use heapdrag_testkit::{check, random_program, Rng};
@@ -87,11 +86,18 @@ fn assert_profiled_parity(program: &Program, input: &[i64], config: VmConfig, wh
     }
 }
 
-/// Asserts parity of a plain (unobserved, NullObserver-path) run.
-fn assert_plain_parity(program: &Program, input: &[i64], config: VmConfig, what: &str) {
+/// Asserts parity of a plain (unobserved, NullObserver-path) run and
+/// returns the error both interpreters stopped with, if any.
+fn assert_plain_parity(
+    program: &Program,
+    input: &[i64],
+    config: VmConfig,
+    what: &str,
+) -> Option<VmError> {
     let fast = Vm::new(program, with_kind(config.clone(), InterpreterKind::Fast)).run(input);
     let reference = Vm::new(program, with_kind(config, InterpreterKind::Reference)).run(input);
     assert_eq!(fast, reference, "{what}: plain runs differ");
+    fast.err()
 }
 
 #[test]
@@ -301,15 +307,14 @@ fn mutate_one_insn(program: &mut Program, rng: &mut Rng) -> String {
 fn hostile_bytecode_is_rejected_or_interpreter_invariant() {
     check("hostile bytecode differential", 64, |rng: &mut Rng| {
         let (program, input) = random_program(rng);
-        // Unmutated, the program relinks and verifies: rejection below is
-        // the mutation's doing.
+        // Unmutated, the program relinks: rejection below is the
+        // mutation's doing.
         let mut relinked = program.clone();
         relinked.link().expect("relinking is idempotent");
-        verify_program(&relinked).expect("generated programs verify");
         for _ in 0..8 {
             let mut mutant = program.clone();
             let what = mutate_one_insn(&mut mutant, rng);
-            if mutant.link().is_err() || verify_program(&mutant).is_err() {
+            if mutant.link().is_err() {
                 continue;
             }
             // The budget and heap limit bound every mutant's run: a mutated
@@ -319,7 +324,13 @@ fn hostile_bytecode_is_rejected_or_interpreter_invariant() {
                 heap_limit: Some(1 << 20),
                 ..config
             };
-            assert_plain_parity(&mutant, &input, bound(VmConfig::default()), &what);
+            let err = assert_plain_parity(&mutant, &input, bound(VmConfig::default()), &what);
+            // Linking verified the stack discipline, so the interpreters'
+            // own underflow check never fires on a linked mutant.
+            assert!(
+                !matches!(err, Some(VmError::StackUnderflow { .. })),
+                "{what}: a linked mutant underflowed at run time: {err:?}"
+            );
             let profiled = bound(small_heap_config(rng.bool()));
             assert_profiled_parity(&mutant, &input, profiled, &what);
         }

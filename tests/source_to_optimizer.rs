@@ -25,7 +25,7 @@ fn optimize_and_measure(src: &str, input: &[i64]) -> (SavingsReport, Vec<String>
         .run(input)
         .unwrap();
     assert_eq!(o1.output, o2.output, "behaviour preserved");
-    heapdrag::vm::verify::verify_program(&optimized).expect("still verifier-clean");
+    optimized.link().expect("still verifier-clean");
 
     let before = profile(&original, input, VmConfig::profiling()).unwrap();
     let after = profile(&optimized, input, VmConfig::profiling()).unwrap();
