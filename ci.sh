@@ -10,8 +10,8 @@
 #      EXPERIMENTS.md against its renderer; `HEAPDRAG_BLESS=1 ./ci.sh`
 #      rewrites those blocks (and the other goldens) instead of failing
 #   3. clippy with warnings denied
-#   4. rustfmt check of crates/vm, crates/core and the root crate (the
-#      crates kept rustfmt-clean)
+#   4. rustfmt check of crates/vm, crates/core, crates/analysis,
+#      crates/transform and the root crate (the crates kept rustfmt-clean)
 #   5. rustdoc with warnings denied (every public item stays documented)
 #   6. a smoke run of the two-phase tool, sequential and sharded, checking
 #      that the sharded report is byte-identical to the sequential one
@@ -83,8 +83,9 @@ cargo test -q --workspace
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== rustfmt (crates/vm, crates/core, root crate) =="
-cargo fmt --check -p heapdrag-vm -p heapdrag-core -p heapdrag
+echo "== rustfmt (crates/vm, crates/core, crates/analysis, crates/transform, root crate) =="
+cargo fmt --check -p heapdrag-vm -p heapdrag-core -p heapdrag-analysis \
+    -p heapdrag-transform -p heapdrag
 
 echo "== rustdoc (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
