@@ -84,7 +84,9 @@ pub fn compile(source: &SourceProgram) -> Result<Program, LangError> {
         .funcs
         .get("main")
         .ok_or_else(|| LangError::new(1, "program has no `main` function"))?;
-    if main.params.len() != 1 || main.params[0] != Ty::Array(Box::new(Ty::Int)) || main.ret.is_some()
+    if main.params.len() != 1
+        || main.params[0] != Ty::Array(Box::new(Ty::Int))
+        || main.ret.is_some()
     {
         return Err(LangError::new(
             1,
@@ -92,8 +94,12 @@ pub fn compile(source: &SourceProgram) -> Result<Program, LangError> {
         ));
     }
     b.set_entry(main.method);
-    b.finish()
-        .map_err(|e| LangError::new(0, format!("internal: generated program failed to link: {e}")))
+    b.finish().map_err(|e| {
+        LangError::new(
+            0,
+            format!("internal: generated program failed to link: {e}"),
+        )
+    })
 }
 
 /// Emits the runtime helper `__zero_fill(a)`: sets every element of `a`
@@ -163,11 +169,8 @@ impl Compiler {
             if id == sup {
                 return true;
             }
-            cur = extends.and_then(|name| {
-                self.classes
-                    .get(&name)
-                    .map(|c| (c.id, c.extends.clone()))
-            });
+            cur =
+                extends.and_then(|name| self.classes.get(&name).map(|c| (c.id, c.extends.clone())));
         }
         false
     }
@@ -191,10 +194,7 @@ impl Compiler {
             if let Some(ty) = info.fields.get(name) {
                 return Ok(ty.clone());
             }
-            cur = info
-                .extends
-                .as_ref()
-                .and_then(|sup| self.classes.get(sup));
+            cur = info.extends.as_ref().and_then(|sup| self.classes.get(sup));
         }
         Err(LangError::new(
             line,
@@ -212,10 +212,7 @@ impl Compiler {
                     out.push(name.clone());
                 }
             }
-            cur = info
-                .extends
-                .as_ref()
-                .and_then(|sup| self.classes.get(sup));
+            cur = info.extends.as_ref().and_then(|sup| self.classes.get(sup));
         }
         out.sort();
         out
@@ -232,10 +229,7 @@ impl Compiler {
             if let Some(sig) = info.methods.get(name) {
                 return Ok(sig.clone());
             }
-            cur = info
-                .extends
-                .as_ref()
-                .and_then(|sup| self.classes.get(sup));
+            cur = info.extends.as_ref().and_then(|sup| self.classes.get(sup));
         }
         Err(LangError::new(
             line,
@@ -465,7 +459,10 @@ impl Compiler {
         }
         for (i, (name, _)) in f.params.iter().enumerate() {
             let slot = (i + receiver) as u16;
-            if locals.insert(name.clone(), (slot, sig.params[i].clone())).is_some() {
+            if locals
+                .insert(name.clone(), (slot, sig.params[i].clone()))
+                .is_some()
+            {
                 return Err(LangError::new(
                     f.line,
                     format!("duplicate parameter `{name}`"),
@@ -495,10 +492,7 @@ impl Compiler {
                 (Some(_), false) => {
                     return Err(LangError::new(
                         f.line,
-                        format!(
-                            "function `{}` may finish without returning a value",
-                            f.name
-                        ),
+                        format!("function `{}` may finish without returning a value", f.name),
                     ))
                 }
                 (None, false) => {
@@ -616,9 +610,7 @@ impl FnCtx<'_> {
                             let vty = self.emit_expr(m, value)?;
                             self.check_assign(&vty, &ty, *line)?;
                             m.store(slot);
-                        } else if let Some((sid, ty)) =
-                            self.compiler.statics.get(name).cloned()
-                        {
+                        } else if let Some((sid, ty)) = self.compiler.statics.get(name).cloned() {
                             let vty = self.emit_expr(m, value)?;
                             self.check_assign(&vty, &ty, *line)?;
                             m.putstatic(sid);
@@ -711,14 +703,9 @@ impl FnCtx<'_> {
                     (None, None) => {
                         m.ret();
                     }
-                    (Some(_), None) => {
-                        return Err(LangError::new(*line, "missing return value"))
-                    }
+                    (Some(_), None) => return Err(LangError::new(*line, "missing return value")),
                     (None, Some(_)) => {
-                        return Err(LangError::new(
-                            *line,
-                            "void function cannot return a value",
-                        ))
+                        return Err(LangError::new(*line, "void function cannot return a value"))
                     }
                 }
                 Ok(true)
@@ -773,10 +760,7 @@ impl FnCtx<'_> {
     fn emit_expr(&mut self, m: &mut MethodBuilder<'_>, expr: &Expr) -> Result<Ty, LangError> {
         match self.emit_expr_maybe_void(m, expr)? {
             Some(ty) => Ok(ty),
-            None => Err(LangError::new(
-                expr.line(),
-                "this call returns no value",
-            )),
+            None => Err(LangError::new(expr.line(), "this call returns no value")),
         }
     }
 
@@ -958,14 +942,9 @@ impl FnCtx<'_> {
                         };
                         self.compiler.lookup_method(class, name, *line)?
                     }
-                    None => self
-                        .compiler
-                        .funcs
-                        .get(name)
-                        .cloned()
-                        .ok_or_else(|| {
-                            LangError::new(*line, format!("unknown function `{name}`"))
-                        })?,
+                    None => self.compiler.funcs.get(name).cloned().ok_or_else(|| {
+                        LangError::new(*line, format!("unknown function `{name}`"))
+                    })?,
                 };
                 if args.len() != sig.params.len() {
                     return Err(LangError::new(
@@ -992,9 +971,11 @@ impl FnCtx<'_> {
                 Ok(sig.ret.clone())
             }
             Expr::New { class, args, line } => {
-                let info = self.compiler.classes.get(class).ok_or_else(|| {
-                    LangError::new(*line, format!("unknown class `{class}`"))
-                })?;
+                let info = self
+                    .compiler
+                    .classes
+                    .get(class)
+                    .ok_or_else(|| LangError::new(*line, format!("unknown class `{class}`")))?;
                 let class_id = info.id;
                 m.mark(format!("L{line}: new {class}"));
                 m.new_obj(class_id);
@@ -1045,7 +1026,10 @@ impl FnCtx<'_> {
                 let elem_ty = self.compiler.resolve_type(elem, *line)?;
                 let lty = self.emit_expr(m, len)?;
                 self.expect(&lty, &Ty::Int, *line, "array length")?;
-                m.mark(format!("L{line}: new {}[]", self.compiler.ty_name(&elem_ty)));
+                m.mark(format!(
+                    "L{line}: new {}[]",
+                    self.compiler.ty_name(&elem_ty)
+                ));
                 m.new_array();
                 if elem_ty == Ty::Int {
                     // Java semantics: int[] elements read as 0.

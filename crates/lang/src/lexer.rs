@@ -72,9 +72,7 @@ pub fn lex(source: &str) -> Result<Vec<Spanned>, LangError> {
             }
             'a'..='z' | 'A'..='Z' | '_' => {
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
                 let word = &source[start..i];

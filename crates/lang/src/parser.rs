@@ -94,7 +94,10 @@ impl Parser<'_> {
                 Token::Eof => break,
                 Token::Class => out.classes.push(self.class_decl()?),
                 Token::Def => out.funcs.push(self.func_decl()?),
-                Token::Static | Token::Private | Token::Package | Token::Protected
+                Token::Static
+                | Token::Private
+                | Token::Package
+                | Token::Protected
                 | Token::Public => out.statics.push(self.static_decl()?),
                 other => {
                     return Err(LangError::new(
@@ -564,7 +567,11 @@ impl Parser<'_> {
                 } else {
                     Vec::new()
                 };
-                Ok(Expr::New { class: name, args, line })
+                Ok(Expr::New {
+                    class: name,
+                    args,
+                    line,
+                })
             }
             Token::LParen => {
                 self.bump();
@@ -625,10 +632,18 @@ mod tests {
             panic!("print");
         };
         // (1 + (2*3)) < 10
-        let Expr::Binary { op: BinOp::Lt, lhs, .. } = value else {
+        let Expr::Binary {
+            op: BinOp::Lt, lhs, ..
+        } = value
+        else {
             panic!("topmost is <, got {value:?}");
         };
-        let Expr::Binary { op: BinOp::Add, rhs, .. } = lhs.as_ref() else {
+        let Expr::Binary {
+            op: BinOp::Add,
+            rhs,
+            ..
+        } = lhs.as_ref()
+        else {
             panic!("lhs is +");
         };
         assert!(matches!(rhs.as_ref(), Expr::Binary { op: BinOp::Mul, .. }));
@@ -641,8 +656,20 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.funcs[0].body.len(), 7);
-        assert!(matches!(p.funcs[0].body[1], Stmt::Assign { target: LValue::Index { .. }, .. }));
-        assert!(matches!(p.funcs[0].body[3], Stmt::Assign { target: LValue::Field { .. }, .. }));
+        assert!(matches!(
+            p.funcs[0].body[1],
+            Stmt::Assign {
+                target: LValue::Index { .. },
+                ..
+            }
+        ));
+        assert!(matches!(
+            p.funcs[0].body[3],
+            Stmt::Assign {
+                target: LValue::Field { .. },
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -652,8 +679,20 @@ mod tests {
         )
         .unwrap();
         let body = &p.funcs[0].body;
-        assert!(matches!(&body[1], Stmt::ExprStmt { expr: Expr::Call { recv: Some(_), .. }, .. }));
-        assert!(matches!(&body[2], Stmt::ExprStmt { expr: Expr::Call { recv: None, .. }, .. }));
+        assert!(matches!(
+            &body[1],
+            Stmt::ExprStmt {
+                expr: Expr::Call { recv: Some(_), .. },
+                ..
+            }
+        ));
+        assert!(matches!(
+            &body[2],
+            Stmt::ExprStmt {
+                expr: Expr::Call { recv: None, .. },
+                ..
+            }
+        ));
     }
 
     #[test]

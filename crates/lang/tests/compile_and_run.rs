@@ -196,7 +196,10 @@ fn type_errors_are_reported_with_lines() {
     assert!(e.contains("int"), "{e}");
 
     let e = compile_err("def main(input: int[]) { var x: int = null; }");
-    assert!(e.contains("not assignable") || e.contains("initialise"), "{e}");
+    assert!(
+        e.contains("not assignable") || e.contains("initialise"),
+        "{e}"
+    );
 
     let e = compile_err("def main(input: int[]) { print input; }");
     assert!(e.contains("print"), "{e}");

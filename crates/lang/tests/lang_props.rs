@@ -116,14 +116,22 @@ def main(input: int[]) {{
 
 #[test]
 fn generated_sources_compile_and_run_deterministically() {
-    check("generated_sources_compile_and_run_deterministically", 32, |rng| {
-        let src = source_for(&stmts(rng, 10));
-        let program = compile_source(&src)
-            .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
-        let a = Vm::new(&program, VmConfig::default()).run(&[]).expect("runs");
-        let b = Vm::new(&program, VmConfig::profiling()).run(&[]).expect("runs");
-        assert_eq!(a.output, b.output);
-    });
+    check(
+        "generated_sources_compile_and_run_deterministically",
+        32,
+        |rng| {
+            let src = source_for(&stmts(rng, 10));
+            let program =
+                compile_source(&src).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
+            let a = Vm::new(&program, VmConfig::default())
+                .run(&[])
+                .expect("runs");
+            let b = Vm::new(&program, VmConfig::profiling())
+                .run(&[])
+                .expect("runs");
+            assert_eq!(a.output, b.output);
+        },
+    );
 }
 
 #[test]

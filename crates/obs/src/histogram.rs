@@ -127,9 +127,7 @@ impl Histogram {
                 self.inner.buckets[i].fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.inner
-            .count
-            .fetch_add(other.count(), Ordering::Relaxed);
+        self.inner.count.fetch_add(other.count(), Ordering::Relaxed);
         self.inner.sum.fetch_add(other.sum(), Ordering::Relaxed);
     }
 
@@ -179,10 +177,7 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 10 + (1 << 40));
         let snap = h.snapshot();
-        assert_eq!(
-            snap.buckets,
-            vec![(0, 1), (7, 2), ((1u64 << 41) - 1, 1)]
-        );
+        assert_eq!(snap.buckets, vec![(0, 1), (7, 2), ((1u64 << 41) - 1, 1)]);
     }
 
     #[test]

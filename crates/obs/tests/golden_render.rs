@@ -9,7 +9,9 @@ use heapdrag_obs::Registry;
 fn golden_registry() -> Registry {
     let registry = Registry::new();
     registry.counter("alpha_total").add(3);
-    registry.counter("vm_dispatch_total{class=\"arith\"}").add(7);
+    registry
+        .counter("vm_dispatch_total{class=\"arith\"}")
+        .add(7);
     registry.gauge("beta_bytes").set(-2);
     let span_us = registry.histogram("span_us");
     span_us.observe(0); // bucket bound 0

@@ -621,10 +621,7 @@ mod tests {
     #[test]
     fn structural_classification_excludes_flip() {
         assert!(!Fault::FlipByte.is_structural());
-        assert_eq!(
-            Fault::ALL.iter().filter(|f| f.is_structural()).count(),
-            4
-        );
+        assert_eq!(Fault::ALL.iter().filter(|f| f.is_structural()).count(), 4);
     }
 
     /// A structurally valid HDLOG v2 stream: magic plus four frames with
@@ -779,7 +776,10 @@ mod tests {
         assert!(!BinaryFault::FlipPayloadByte.is_structural());
         assert!(!BinaryFault::CorruptFrameLength.is_structural());
         assert_eq!(
-            BinaryFault::ALL.iter().filter(|f| f.is_structural()).count(),
+            BinaryFault::ALL
+                .iter()
+                .filter(|f| f.is_structural())
+                .count(),
             5
         );
     }

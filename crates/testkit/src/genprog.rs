@@ -193,7 +193,10 @@ fn s_alloc_node(m: &mut MethodBuilder<'_>, g: &mut Gen<'_>, shape: &Shape) {
     }
     m.new_obj(shape.classes[k - 1]).store(L_NODE).jump(&set);
     for (j, arm) in arms.iter().enumerate() {
-        m.label(arm).new_obj(shape.classes[j]).store(L_NODE).jump(&set);
+        m.label(arm)
+            .new_obj(shape.classes[j])
+            .store(L_NODE)
+            .jump(&set);
     }
     m.label(&set);
     m.load(L_NODE).load(L_ACC).putfield(shape.val_slot);
@@ -233,7 +236,12 @@ fn s_array_rw(m: &mut MethodBuilder<'_>, g: &mut Gen<'_>) {
     let r = L_R0 + g.rng.range_u16(0, 2);
     m.push_int(size).new_array().store(r);
     m.load(r).push_int(idx).load(L_ACC).astore();
-    m.load(r).push_int(idx).aload().load(L_ACC).add().store(L_ACC);
+    m.load(r)
+        .push_int(idx)
+        .aload()
+        .load(L_ACC)
+        .add()
+        .store(L_ACC);
 }
 
 /// A deliberately out-of-bounds read, caught locally.
@@ -280,7 +288,12 @@ fn s_throw_exc(m: &mut MethodBuilder<'_>, g: &mut Gen<'_>, shape: &Shape) {
         .branch(&thr);
     m.jump(&done);
     m.label(&thr).new_obj(shape.exc).throw();
-    m.label(&hh).pop().load(L_ACC).push_int(13).add().store(L_ACC);
+    m.label(&hh)
+        .pop()
+        .load(L_ACC)
+        .push_int(13)
+        .add()
+        .store(L_ACC);
     m.label(&done);
     m.handler(&thr, &hh, &hh, catch);
 }
@@ -420,7 +433,10 @@ pub fn random_program(rng: &mut Rng) -> (Program, Vec<i64>) {
     let fin_m = b.declare_method("finalize", Some(fin), false, 1, 1);
     {
         let mut m = b.begin_body(fin_m);
-        m.getstatic(fin_count).push_int(1).add().putstatic(fin_count);
+        m.getstatic(fin_count)
+            .push_int(1)
+            .add()
+            .putstatic(fin_count);
         m.ret();
         m.finish();
     }

@@ -97,7 +97,12 @@ impl Rng {
 
     /// Builds a vector whose length is drawn from `[min_len, max_len)` and
     /// whose elements come from `f`.
-    pub fn vec<T>(&mut self, min_len: usize, max_len: usize, mut f: impl FnMut(&mut Rng) -> T) -> Vec<T> {
+    pub fn vec<T>(
+        &mut self,
+        min_len: usize,
+        max_len: usize,
+        mut f: impl FnMut(&mut Rng) -> T,
+    ) -> Vec<T> {
         let n = if min_len + 1 >= max_len {
             min_len
         } else {

@@ -86,7 +86,10 @@ mod tests {
         let counter = std::cell::Cell::new(0u32);
         check_with(
             "counts",
-            Config { cases: 17, base_seed: 1 },
+            Config {
+                cases: 17,
+                base_seed: 1,
+            },
             |_| counter.set(counter.get() + 1),
         );
         assert_eq!(counter.get(), 17);
@@ -97,7 +100,10 @@ mod tests {
         let seeds = std::cell::RefCell::new(Vec::new());
         check_with(
             "seeds",
-            Config { cases: 8, base_seed: 9 },
+            Config {
+                cases: 8,
+                base_seed: 9,
+            },
             |rng| seeds.borrow_mut().push(rng.next_u64()),
         );
         let mut v = seeds.borrow().clone();
@@ -122,7 +128,10 @@ mod tests {
         let result = std::panic::catch_unwind(|| {
             check_with(
                 "fails",
-                Config { cases: 4, base_seed: 2 },
+                Config {
+                    cases: 4,
+                    base_seed: 2,
+                },
                 |rng| {
                     let v = rng.range_u64(0, 100);
                     assert!(v >= 200, "always fails");

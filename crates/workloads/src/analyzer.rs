@@ -35,7 +35,9 @@ pub fn build(variant: Variant) -> Program {
         let mut m = b.begin_body(ci_init);
         m.load(0).load(1).putfield_named(class_info, "id");
         m.load(0).push_int(12);
-        m.mark("method table").new_array().putfield_named(class_info, "methods");
+        m.mark("method table")
+            .new_array()
+            .putfield_named(class_info, "methods");
         m.ret();
         m.finish();
     }
@@ -47,7 +49,11 @@ pub fn build(variant: Variant) -> Program {
     }
     let _ = ci_id;
 
-    let graph_static = b.static_var("analyzer.Mutability.graph", Visibility::Private, Value::Null);
+    let graph_static = b.static_var(
+        "analyzer.Mutability.graph",
+        Visibility::Private,
+        Value::Null,
+    );
 
     // buildGraph(classes) -> graph vector
     let build_graph = b.declare_method("buildGraph", None, true, 1, 5);
@@ -77,7 +83,11 @@ pub fn build(variant: Variant) -> Program {
         m.push_int(0).store(1);
         m.push_int(0).store(2);
         m.label("sum");
-        m.load(1).load(0).call(jdk.vec_size).cmpge().branch("summed");
+        m.load(1)
+            .load(0)
+            .call(jdk.vec_size)
+            .cmpge()
+            .branch("summed");
         m.load(2);
         m.load(0).load(1).call(jdk.vec_get).call_virtual("idOf", 0);
         m.add().store(2);
@@ -109,7 +119,16 @@ pub fn build(variant: Variant) -> Program {
         m.push_int(0).store(5);
         m.label("report");
         m.load(5).load(2).cmpge().branch("reported");
-        m.push_int(28).mark("report record").new_array().dup().push_int(0).push_int(1).astore().push_int(0).aload().pop();
+        m.push_int(28)
+            .mark("report record")
+            .new_array()
+            .dup()
+            .push_int(0)
+            .push_int(1)
+            .astore()
+            .push_int(0)
+            .aload()
+            .pop();
         m.load(4).load(5).add().store(4);
         m.load(5).push_int(1).add().store(5);
         m.jump("report");
@@ -147,8 +166,12 @@ mod tests {
     fn variants_agree_on_output() {
         let w = workload();
         let input = (w.default_input)();
-        let o = Vm::new(&w.original(), VmConfig::default()).run(&input).unwrap();
-        let r = Vm::new(&w.revised(), VmConfig::default()).run(&input).unwrap();
+        let o = Vm::new(&w.original(), VmConfig::default())
+            .run(&input)
+            .unwrap();
+        let r = Vm::new(&w.revised(), VmConfig::default())
+            .run(&input)
+            .unwrap();
         assert_eq!(o.output, r.output);
     }
 
@@ -168,7 +191,11 @@ mod tests {
             "drag saving {:.1}%",
             s.drag_saving_pct()
         );
-        assert!(s.space_saving_pct() > 6.0, "space {:.1}%", s.space_saving_pct());
+        assert!(
+            s.space_saving_pct() > 6.0,
+            "space {:.1}%",
+            s.space_saving_pct()
+        );
     }
 
     #[test]

@@ -34,7 +34,9 @@ pub fn build(_variant: Variant) -> Program {
         let mut m = b.begin_body(record_init);
         m.load(0).load(1).putfield_named(record, "key");
         m.load(0).push_int(16);
-        m.mark("record payload").new_array().putfield_named(record, "payload");
+        m.mark("record payload")
+            .new_array()
+            .putfield_named(record, "payload");
         m.ret();
         m.finish();
     }
@@ -77,7 +79,16 @@ pub fn build(_variant: Variant) -> Program {
         // seed = (seed * 1103515245 + 12345) mod 2^31
         m.load(3).push_int(1103515245).mul().push_int(12345).add();
         m.push_int(2147483647).rem().store(3);
-        m.push_int(12).mark("query result buffer").new_array().dup().push_int(0).push_int(1).astore().push_int(0).aload().pop();
+        m.push_int(12)
+            .mark("query result buffer")
+            .new_array()
+            .dup()
+            .push_int(0)
+            .push_int(1)
+            .astore()
+            .push_int(0)
+            .aload()
+            .pop();
         m.load(6);
         m.load(4);
         m.load(3).load(1).rem(); // index = seed % records (seed >= 0)
@@ -119,8 +130,12 @@ mod tests {
     fn variants_are_identical() {
         let w = workload();
         let input = (w.default_input)();
-        let o = Vm::new(&w.original(), VmConfig::default()).run(&input).unwrap();
-        let r = Vm::new(&w.revised(), VmConfig::default()).run(&input).unwrap();
+        let o = Vm::new(&w.original(), VmConfig::default())
+            .run(&input)
+            .unwrap();
+        let r = Vm::new(&w.revised(), VmConfig::default())
+            .run(&input)
+            .unwrap();
         assert_eq!(o.output, r.output);
         assert_eq!(o.heap.allocated_bytes, r.heap.allocated_bytes);
     }
@@ -135,8 +150,16 @@ mod tests {
             Integrals::from_records(&ro.records),
             Integrals::from_records(&rr.records),
         );
-        assert!(s.drag_saving_pct().abs() < 1.0, "drag {:.2}%", s.drag_saving_pct());
-        assert!(s.space_saving_pct().abs() < 1.0, "space {:.2}%", s.space_saving_pct());
+        assert!(
+            s.drag_saving_pct().abs() < 1.0,
+            "drag {:.2}%",
+            s.drag_saving_pct()
+        );
+        assert!(
+            s.space_saving_pct().abs() < 1.0,
+            "space {:.2}%",
+            s.space_saving_pct()
+        );
     }
 
     #[test]

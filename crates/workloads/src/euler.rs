@@ -44,7 +44,16 @@ fn build_phase(
     m.label("step");
     m.load(2).load(1).cmpge().branch("done");
     // scratch temporaries for this step
-    m.push_int(40).mark("solver temporaries").new_array().dup().push_int(0).push_int(1).astore().push_int(0).aload().pop();
+    m.push_int(40)
+        .mark("solver temporaries")
+        .new_array()
+        .dup()
+        .push_int(0)
+        .push_int(1)
+        .astore()
+        .push_int(0)
+        .aload()
+        .pop();
     // acc += grid[i % len]
     m.load(3);
     m.load(4).load(2).load(4).array_len().rem().aload();
@@ -153,8 +162,12 @@ mod tests {
     fn variants_agree_on_output() {
         let w = workload();
         for input in [(w.default_input)(), (w.alternate_input)()] {
-            let o = Vm::new(&w.original(), VmConfig::default()).run(&input).unwrap();
-            let r = Vm::new(&w.revised(), VmConfig::default()).run(&input).unwrap();
+            let o = Vm::new(&w.original(), VmConfig::default())
+                .run(&input)
+                .unwrap();
+            let r = Vm::new(&w.revised(), VmConfig::default())
+                .run(&input)
+                .unwrap();
             assert_eq!(o.output, r.output);
         }
     }
@@ -175,7 +188,11 @@ mod tests {
             "drag saving {:.1}% (expected euler-scale, >50%)",
             s.drag_saving_pct()
         );
-        assert!(s.space_saving_pct() > 3.0, "space {:.1}%", s.space_saving_pct());
+        assert!(
+            s.space_saving_pct() > 3.0,
+            "space {:.1}%",
+            s.space_saving_pct()
+        );
     }
 
     #[test]

@@ -62,13 +62,22 @@ pub fn build(variant: Variant) -> Program {
     {
         let mut m = b.begin_body(pg_init);
         if variant == Variant::Original {
-            m.mark("eager conflicts Vector").new_obj(jdk.vector).dup().store(1);
+            m.mark("eager conflicts Vector")
+                .new_obj(jdk.vector)
+                .dup()
+                .store(1);
             m.push_int(2048).call(jdk.vec_init);
             m.load(0).load(1).putfield(cf);
-            m.mark("eager firstSets HashTable").new_obj(jdk.hashtable).dup().store(1);
+            m.mark("eager firstSets HashTable")
+                .new_obj(jdk.hashtable)
+                .dup()
+                .store(1);
             m.push_int(1300).call(jdk.ht_init);
             m.load(0).load(1).putfield(fs);
-            m.mark("eager followSets HashTable").new_obj(jdk.hashtable).dup().store(1);
+            m.mark("eager followSets HashTable")
+                .new_obj(jdk.hashtable)
+                .dup()
+                .store(1);
             m.push_int(1300).call(jdk.ht_init);
             m.load(0).load(1).putfield(fl);
         }
@@ -86,7 +95,9 @@ pub fn build(variant: Variant) -> Program {
         m.load(0).getfield(cf);
         m.branch_if_not_null("have");
         m.new_obj(jdk.vector).dup();
-        m.mark("lazy conflicts Vector").push_int(2048).call(jdk.vec_init);
+        m.mark("lazy conflicts Vector")
+            .push_int(2048)
+            .call(jdk.vec_init);
         m.load(0).swap().putfield(cf);
         m.label("have");
         m.load(0).getfield(cf).ret_val();
@@ -98,7 +109,9 @@ pub fn build(variant: Variant) -> Program {
         m.load(0).getfield(fs);
         m.branch_if_not_null("have");
         m.new_obj(jdk.hashtable).dup();
-        m.mark("lazy firstSets HashTable").push_int(1300).call(jdk.ht_init);
+        m.mark("lazy firstSets HashTable")
+            .push_int(1300)
+            .call(jdk.ht_init);
         m.load(0).swap().putfield(fs);
         m.label("have");
         m.load(0).getfield(fs).ret_val();
@@ -110,7 +123,9 @@ pub fn build(variant: Variant) -> Program {
         m.load(0).getfield(fl);
         m.branch_if_not_null("have");
         m.new_obj(jdk.hashtable).dup();
-        m.mark("lazy followSets HashTable").push_int(1300).call(jdk.ht_init);
+        m.mark("lazy followSets HashTable")
+            .push_int(1300)
+            .call(jdk.ht_init);
         m.load(0).swap().putfield(fl);
         m.label("have");
         m.load(0).getfield(fl).ret_val();
@@ -129,7 +144,16 @@ pub fn build(variant: Variant) -> Program {
         m.load(4).load(2).cmpge().branch("tokked");
         m.mark("token").new_obj(token).dup().store(6);
         m.load(1).load(4).add().call(token_init);
-        m.push_int(12).mark("lexer scratch").new_array().dup().push_int(0).push_int(1).astore().push_int(0).aload().pop();
+        m.push_int(12)
+            .mark("lexer scratch")
+            .new_array()
+            .dup()
+            .push_int(0)
+            .push_int(1)
+            .astore()
+            .push_int(0)
+            .aload()
+            .pop();
         m.load(5).load(6).call_virtual("kind", 0).add().store(5);
         m.load(4).push_int(1).add().store(4);
         m.jump("tok");
@@ -164,7 +188,13 @@ pub fn build(variant: Variant) -> Program {
         m.load(4);
         m.load(6).load(5).load(2);
         // has_conflicts = ((g + 1) % stride == 0)
-        m.load(5).push_int(1).add().load(3).rem().push_int(0).cmpeq();
+        m.load(5)
+            .push_int(1)
+            .add()
+            .load(3)
+            .rem()
+            .push_int(0)
+            .cmpeq();
         m.call(generate);
         m.add().store(4);
         m.load(5).push_int(1).add().store(5);
@@ -204,8 +234,12 @@ mod tests {
     fn variants_agree_on_output() {
         let w = workload();
         for input in [(w.default_input)(), (w.alternate_input)()] {
-            let o = Vm::new(&w.original(), VmConfig::default()).run(&input).unwrap();
-            let r = Vm::new(&w.revised(), VmConfig::default()).run(&input).unwrap();
+            let o = Vm::new(&w.original(), VmConfig::default())
+                .run(&input)
+                .unwrap();
+            let r = Vm::new(&w.revised(), VmConfig::default())
+                .run(&input)
+                .unwrap();
             assert_eq!(o.output, r.output, "input {input:?}");
         }
     }
@@ -261,14 +295,22 @@ mod tests {
         // stride 1 → every grammar uses its tables: original and revised
         // then allocate the same number of objects.
         let input = vec![3, 50, 1];
-        let o = Vm::new(&w.original(), VmConfig::default()).run(&input).unwrap();
-        let r = Vm::new(&w.revised(), VmConfig::default()).run(&input).unwrap();
+        let o = Vm::new(&w.original(), VmConfig::default())
+            .run(&input)
+            .unwrap();
+        let r = Vm::new(&w.revised(), VmConfig::default())
+            .run(&input)
+            .unwrap();
         assert_eq!(o.output, r.output);
         assert_eq!(o.heap.allocated_objects, r.heap.allocated_objects);
         // stride large → revised never allocates tables.
         let input = vec![3, 50, 100];
-        let o = Vm::new(&w.original(), VmConfig::default()).run(&input).unwrap();
-        let r = Vm::new(&w.revised(), VmConfig::default()).run(&input).unwrap();
+        let o = Vm::new(&w.original(), VmConfig::default())
+            .run(&input)
+            .unwrap();
+        let r = Vm::new(&w.revised(), VmConfig::default())
+            .run(&input)
+            .unwrap();
         assert_eq!(o.output, r.output);
         assert!(r.heap.allocated_bytes < o.heap.allocated_bytes / 2);
     }

@@ -99,7 +99,16 @@ pub fn build(variant: Variant) -> Program {
         m.push_int(0).store(3);
         m.label("emit");
         m.load(7).branch_if_null("emitted");
-        m.push_int(20).mark("emitter scratch").new_array().dup().push_int(0).push_int(1).astore().push_int(0).aload().pop();
+        m.push_int(20)
+            .mark("emitter scratch")
+            .new_array()
+            .dup()
+            .push_int(0)
+            .push_int(1)
+            .astore()
+            .push_int(0)
+            .aload()
+            .pop();
         m.load(3).load(7).call_virtual("kindOf", 0).add().store(3);
         m.load(7).call_virtual("leftOf", 0).store(7);
         m.jump("emit");
@@ -158,8 +167,12 @@ mod tests {
     fn variants_agree_on_output() {
         let w = workload();
         let input = (w.default_input)();
-        let o = Vm::new(&w.original(), VmConfig::default()).run(&input).unwrap();
-        let r = Vm::new(&w.revised(), VmConfig::default()).run(&input).unwrap();
+        let o = Vm::new(&w.original(), VmConfig::default())
+            .run(&input)
+            .unwrap();
+        let r = Vm::new(&w.revised(), VmConfig::default())
+            .run(&input)
+            .unwrap();
         assert_eq!(o.output, r.output);
     }
 
@@ -179,7 +192,11 @@ mod tests {
             "drag saving {:.1}%",
             s.drag_saving_pct()
         );
-        assert!(s.space_saving_pct() > 2.0, "space {:.1}%", s.space_saving_pct());
+        assert!(
+            s.space_saving_pct() > 2.0,
+            "space {:.1}%",
+            s.space_saving_pct()
+        );
     }
 
     #[test]

@@ -87,7 +87,12 @@ pub fn install(b: &mut ProgramBuilder, variant: Variant) -> Jdk {
         let mut m = b.begin_body(vec_add);
         m.load(0).getfield(el).store(2);
         // grow when size == elements.len
-        m.load(0).getfield(sz).load(2).array_len().cmplt().branch("store");
+        m.load(0)
+            .getfield(sz)
+            .load(2)
+            .array_len()
+            .cmplt()
+            .branch("store");
         m.load(2).array_len().push_int(2).mul();
         m.mark("jdk.Vector grown array").new_array().store(3);
         m.push_int(0).store(4);
@@ -105,7 +110,12 @@ pub fn install(b: &mut ProgramBuilder, variant: Variant) -> Jdk {
         m.label("store");
         // elements[size] = value; size += 1
         m.load(2).load(0).getfield(sz).load(1).astore();
-        m.load(0).load(0).getfield(sz).push_int(1).add().putfield(sz);
+        m.load(0)
+            .load(0)
+            .getfield(sz)
+            .push_int(1)
+            .add()
+            .putfield(sz);
         m.ret();
         m.finish();
     }
@@ -123,7 +133,12 @@ pub fn install(b: &mut ProgramBuilder, variant: Variant) -> Jdk {
         m.load(0).getfield(sz).push_int(1).sub();
         m.aload().store(1);
         // size = size - 1
-        m.load(0).load(0).getfield(sz).push_int(1).sub().putfield(sz);
+        m.load(0)
+            .load(0)
+            .getfield(sz)
+            .push_int(1)
+            .sub()
+            .putfield(sz);
         if variant == Variant::Revised {
             // elements[size] = null — the paper's jess fix, which the
             // original "tries to handle … but does not handle completely".
@@ -185,9 +200,25 @@ pub fn install(b: &mut ProgramBuilder, variant: Variant) -> Jdk {
         m.push_int(0).store(4);
         m.label("probe");
         m.load(4).load(0).getfield(hc).cmpge().branch("full");
-        m.load(5).load(3).aload().push_int(0).cmpeq().branch("empty");
-        m.load(5).load(3).aload().load(1).cmpeq().branch("overwrite");
-        m.load(3).push_int(1).add().load(0).getfield(hc).rem().store(3);
+        m.load(5)
+            .load(3)
+            .aload()
+            .push_int(0)
+            .cmpeq()
+            .branch("empty");
+        m.load(5)
+            .load(3)
+            .aload()
+            .load(1)
+            .cmpeq()
+            .branch("overwrite");
+        m.load(3)
+            .push_int(1)
+            .add()
+            .load(0)
+            .getfield(hc)
+            .rem()
+            .store(3);
         m.load(4).push_int(1).add().store(4);
         m.jump("probe");
         m.label("empty");
@@ -209,7 +240,13 @@ pub fn install(b: &mut ProgramBuilder, variant: Variant) -> Jdk {
         m.load(3).load(0).getfield(hc).cmpge().branch("miss");
         m.load(4).load(2).aload().push_int(0).cmpeq().branch("miss");
         m.load(4).load(2).aload().load(1).cmpeq().branch("hit");
-        m.load(2).push_int(1).add().load(0).getfield(hc).rem().store(2);
+        m.load(2)
+            .push_int(1)
+            .add()
+            .load(0)
+            .getfield(hc)
+            .rem()
+            .store(2);
         m.load(3).push_int(1).add().store(3);
         m.jump("probe");
         m.label("hit");
@@ -275,7 +312,10 @@ pub fn install(b: &mut ProgramBuilder, variant: Variant) -> Jdk {
             // for every possible locale … those which are never-used can
             // be eliminated." The original eagerly allocates them all.
             for (idx, s) in [(2, locale_fr), (3, locale_de), (4, locale_jp)] {
-                m.mark("jdk.Locale never-used").new_obj(locale).dup().store(0);
+                m.mark("jdk.Locale never-used")
+                    .new_obj(locale)
+                    .dup()
+                    .store(0);
                 m.push_int(idx).call(locale_init);
                 m.load(0).putstatic(s);
             }

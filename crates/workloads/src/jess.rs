@@ -37,7 +37,9 @@ pub fn build(variant: Variant) -> Program {
         let mut m = b.begin_body(fact_init);
         m.load(0).load(1).putfield_named(fact, "id");
         m.load(0).push_int(24);
-        m.mark("fact slots").new_array().putfield_named(fact, "slots");
+        m.mark("fact slots")
+            .new_array()
+            .putfield_named(fact, "slots");
         m.ret();
         m.finish();
     }
@@ -52,7 +54,11 @@ pub fn build(variant: Variant) -> Program {
     // The never-used private static debug cache, and the engine's working
     // memory (rooted in a static like a real engine's singleton).
     let debug_cache = b.static_var("jess.Engine.debugCache", Visibility::Private, Value::Null);
-    let wm_static = b.static_var("jess.Engine.workingMemory", Visibility::Private, Value::Null);
+    let wm_static = b.static_var(
+        "jess.Engine.workingMemory",
+        Visibility::Private,
+        Value::Null,
+    );
 
     // cycle(wm, base, asserts, retracts) -> acc : one match-fire-retract
     // cycle over the working memory.
@@ -75,9 +81,23 @@ pub fn build(variant: Variant) -> Program {
         m.push_int(0).store(4);
         m.label("fire");
         m.load(4).push_int(8).cmpge().branch("fired");
-        m.push_int(16).mark("rule activation scratch").new_array().dup().push_int(0).push_int(1).astore().push_int(0).aload().pop();
+        m.push_int(16)
+            .mark("rule activation scratch")
+            .new_array()
+            .dup()
+            .push_int(0)
+            .push_int(1)
+            .astore()
+            .push_int(0)
+            .aload()
+            .pop();
         m.load(5);
-        m.load(0).load(4).load(0).call(jdk.vec_size).rem().call(jdk.vec_get);
+        m.load(0)
+            .load(4)
+            .load(0)
+            .call(jdk.vec_size)
+            .rem()
+            .call(jdk.vec_get);
         m.call_virtual("id", 0);
         m.add().store(5);
         m.load(4).push_int(1).add().store(4);
@@ -117,7 +137,13 @@ pub fn build(variant: Variant) -> Program {
         m.label("cycles");
         m.load(6).load(1).cmpge().branch("done");
         m.load(5);
-        m.load(4).load(6).push_int(100).mul().load(2).load(3).call(cycle);
+        m.load(4)
+            .load(6)
+            .push_int(100)
+            .mul()
+            .load(2)
+            .load(3)
+            .call(cycle);
         m.add().store(5);
         m.load(6).push_int(1).add().store(6);
         m.jump("cycles");
@@ -156,8 +182,12 @@ mod tests {
     fn variants_agree_on_output() {
         let w = workload();
         let input = (w.default_input)();
-        let o = Vm::new(&w.original(), VmConfig::default()).run(&input).unwrap();
-        let r = Vm::new(&w.revised(), VmConfig::default()).run(&input).unwrap();
+        let o = Vm::new(&w.original(), VmConfig::default())
+            .run(&input)
+            .unwrap();
+        let r = Vm::new(&w.revised(), VmConfig::default())
+            .run(&input)
+            .unwrap();
         assert_eq!(o.output, r.output);
     }
 
@@ -177,7 +207,11 @@ mod tests {
             "drag saving {:.1}%",
             s.drag_saving_pct()
         );
-        assert!(s.space_saving_pct() > 2.0, "space {:.1}%", s.space_saving_pct());
+        assert!(
+            s.space_saving_pct() > 2.0,
+            "space {:.1}%",
+            s.space_saving_pct()
+        );
     }
 
     #[test]
@@ -188,9 +222,8 @@ mod tests {
         let input = (w.default_input)();
         let ro = profile(&w.original(), &input, VmConfig::profiling()).unwrap();
         let rr = profile(&w.revised(), &input, VmConfig::profiling()).unwrap();
-        let survivors = |records: &[heapdrag_core::ObjectRecord]| {
-            records.iter().filter(|r| r.at_exit).count()
-        };
+        let survivors =
+            |records: &[heapdrag_core::ObjectRecord]| records.iter().filter(|r| r.at_exit).count();
         assert!(
             survivors(&ro.records) > survivors(&rr.records),
             "original {} vs revised {} at-exit objects",

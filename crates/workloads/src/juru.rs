@@ -81,9 +81,21 @@ pub fn build(variant: Variant) -> Program {
         m.push_int(0).store(6);
         m.push_int(0).store(5);
         m.label("merge_loop");
-        m.load(5).load(4).call(jdk.vec_size).cmpge().branch("merged");
+        m.load(5)
+            .load(4)
+            .call(jdk.vec_size)
+            .cmpge()
+            .branch("merged");
         // merge buckets: small scratch arrays (clock advances; buffer drags)
-        m.push_int(24).new_array().dup().push_int(0).push_int(1).astore().push_int(0).aload().pop();
+        m.push_int(24)
+            .new_array()
+            .dup()
+            .push_int(0)
+            .push_int(1)
+            .astore()
+            .push_int(0)
+            .aload()
+            .pop();
         m.load(6);
         m.load(4).load(5).call(jdk.vec_get).call_virtual("pos", 0);
         m.add().store(6);
@@ -110,8 +122,20 @@ pub fn build(variant: Variant) -> Program {
         m.load(5);
         // per-doc sizes vary (real documents do; this also keeps the
         // deterministic byte clock from resonating with the GC interval)
-        m.load(2).load(5).push_int(53).mul().push_int(400).rem().add();
-        m.load(3).load(5).push_int(17).mul().push_int(60).rem().add();
+        m.load(2)
+            .load(5)
+            .push_int(53)
+            .mul()
+            .push_int(400)
+            .rem()
+            .add();
+        m.load(3)
+            .load(5)
+            .push_int(17)
+            .mul()
+            .push_int(60)
+            .rem()
+            .add();
         m.call(index_doc);
         m.add().store(4);
         m.load(5).push_int(1).add().store(5);
@@ -152,8 +176,12 @@ mod tests {
     fn variants_agree_on_output() {
         let w = workload();
         let input = (w.default_input)();
-        let o = Vm::new(&w.original(), VmConfig::default()).run(&input).unwrap();
-        let r = Vm::new(&w.revised(), VmConfig::default()).run(&input).unwrap();
+        let o = Vm::new(&w.original(), VmConfig::default())
+            .run(&input)
+            .unwrap();
+        let r = Vm::new(&w.revised(), VmConfig::default())
+            .run(&input)
+            .unwrap();
         assert_eq!(o.output, r.output);
         assert_eq!(o.output.len(), 1, "prints one checksum");
     }
@@ -174,7 +202,11 @@ mod tests {
             "drag saving {:.1}%",
             s.drag_saving_pct()
         );
-        assert!(s.space_saving_pct() > 3.0, "space {:.1}%", s.space_saving_pct());
+        assert!(
+            s.space_saving_pct() > 3.0,
+            "space {:.1}%",
+            s.space_saving_pct()
+        );
     }
 
     #[test]

@@ -34,7 +34,9 @@ pub fn build(variant: Variant) -> Program {
         let mut m = b.begin_body(sample_init);
         m.load(0).load(1).putfield_named(sample, "value");
         m.load(0).load(2);
-        m.mark("price path array").new_array().putfield_named(sample, "path");
+        m.mark("price path array")
+            .new_array()
+            .putfield_named(sample, "path");
         m.ret();
         m.finish();
     }
@@ -54,7 +56,9 @@ pub fn build(variant: Variant) -> Program {
     {
         let mut m = b.begin_body(diag_init);
         m.load(0).load(1);
-        m.mark("diagnostic trace array").new_array().putfield_named(diag, "trace");
+        m.mark("diagnostic trace array")
+            .new_array()
+            .putfield_named(diag, "trace");
         m.ret();
         m.finish();
     }
@@ -69,7 +73,11 @@ pub fn build(variant: Variant) -> Program {
     let sim_init = b.declare_method("init", Some(sim), false, 2, 2);
     {
         let mut m = b.begin_body(sim_init);
-        m.load(0).load(1).mark("results array").new_array().putfield(rs);
+        m.load(0)
+            .load(1)
+            .mark("results array")
+            .new_array()
+            .putfield(rs);
         m.ret();
         m.finish();
     }
@@ -81,12 +89,23 @@ pub fn build(variant: Variant) -> Program {
         let mut m = b.begin_body(run_path);
         // price walk scratch (advances the clock, used immediately)
         m.push_int(20).mark("walk scratch").new_array().store(3);
-        m.load(3).push_int(0).load(1).push_int(17).mul().push_int(255).rem().astore();
+        m.load(3)
+            .push_int(0)
+            .load(1)
+            .push_int(17)
+            .mul()
+            .push_int(255)
+            .rem()
+            .astore();
         // the sample, genuinely used and retained until aggregation
         m.new_obj(sample).dup().store(4);
         m.load(3).push_int(0).aload();
         m.push_int(80).call(sample_init);
-        m.load(4).getfield_named(sample, "path").push_int(0).load(1).astore();
+        m.load(4)
+            .getfield_named(sample, "path")
+            .push_int(0)
+            .load(1)
+            .astore();
         m.load(0).getfield(rs).load(1).load(4).astore();
         if variant == Variant::Original {
             // the never-used diagnostic record, held only by a local
@@ -156,7 +175,16 @@ pub fn build(variant: Variant) -> Program {
         m.push_int(0).store(6);
         m.label("tail_loop");
         m.load(6).load(3).cmpge().branch("tail_done");
-        m.push_int(30).mark("report scratch").new_array().dup().push_int(0).push_int(1).astore().push_int(0).aload().pop();
+        m.push_int(30)
+            .mark("report scratch")
+            .new_array()
+            .dup()
+            .push_int(0)
+            .push_int(1)
+            .astore()
+            .push_int(0)
+            .aload()
+            .pop();
         m.load(6).push_int(1).add().store(6);
         m.jump("tail_loop");
         m.label("tail_done");
@@ -193,8 +221,12 @@ mod tests {
     fn variants_agree_on_output() {
         let w = workload();
         let input = (w.default_input)();
-        let o = Vm::new(&w.original(), VmConfig::default()).run(&input).unwrap();
-        let r = Vm::new(&w.revised(), VmConfig::default()).run(&input).unwrap();
+        let o = Vm::new(&w.original(), VmConfig::default())
+            .run(&input)
+            .unwrap();
+        let r = Vm::new(&w.revised(), VmConfig::default())
+            .run(&input)
+            .unwrap();
         assert_eq!(o.output, r.output);
     }
 
@@ -243,4 +275,3 @@ mod tests {
         assert_eq!(entry.stats.never_used, entry.stats.objects);
     }
 }
-

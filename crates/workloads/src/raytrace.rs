@@ -33,10 +33,16 @@ pub fn build(variant: Variant) -> Program {
     {
         let mut m = b.begin_body(shade_init);
         m.load(0).load(1).putfield_named(shade, "rgb");
-        m.load(0).load(1).push_int(2).mul().putfield_named(shade, "gloss");
+        m.load(0)
+            .load(1)
+            .push_int(2)
+            .mul()
+            .putfield_named(shade, "gloss");
         // a small per-shade lookup table, also only touched here
         m.load(0).push_int(10);
-        m.mark("shade lookup table").new_array().putfield_named(shade, "table");
+        m.mark("shade lookup table")
+            .new_array()
+            .putfield_named(shade, "table");
         m.ret();
         m.finish();
     }
@@ -72,14 +78,26 @@ pub fn build(variant: Variant) -> Program {
         m.label("fill");
         m.load(2).load(1).cmpge().branch("filled");
         // geometry[i] = i*i (genuinely used by render)
-        m.load(0).getfield(geo).load(2).load(2).load(2).mul().astore();
+        m.load(0)
+            .getfield(geo)
+            .load(2)
+            .load(2)
+            .load(2)
+            .mul()
+            .astore();
         if variant == Variant::Original {
             // site A: shadesA[i] = new Shade(i)  — ctor-only use
-            m.mark("site A: never-used Shade").new_obj(shade).dup().store(4);
+            m.mark("site A: never-used Shade")
+                .new_obj(shade)
+                .dup()
+                .store(4);
             m.load(2).call(shade_init);
             m.load(0).getfield(sa).load(2).load(4).astore();
             // site B: shadesB[i] = new Shade(2 i) — ctor-only use
-            m.mark("site B: never-used Shade").new_obj(shade).dup().store(4);
+            m.mark("site B: never-used Shade")
+                .new_obj(shade)
+                .dup()
+                .store(4);
             m.load(2).push_int(2).mul().call(shade_init);
             m.load(0).getfield(sb).load(2).load(4).astore();
         }
@@ -99,7 +117,9 @@ pub fn build(variant: Variant) -> Program {
     {
         let mut m = b.begin_body(ray_init);
         m.load(0).load(1);
-        m.mark("ray direction vector").new_array().putfield_named(ray, "dir");
+        m.mark("ray direction vector")
+            .new_array()
+            .putfield_named(ray, "dir");
         m.ret();
         m.finish();
     }
@@ -168,8 +188,12 @@ mod tests {
     fn variants_agree_on_output() {
         let w = workload();
         let input = (w.default_input)();
-        let o = Vm::new(&w.original(), VmConfig::default()).run(&input).unwrap();
-        let r = Vm::new(&w.revised(), VmConfig::default()).run(&input).unwrap();
+        let o = Vm::new(&w.original(), VmConfig::default())
+            .run(&input)
+            .unwrap();
+        let r = Vm::new(&w.revised(), VmConfig::default())
+            .run(&input)
+            .unwrap();
         assert_eq!(o.output, r.output);
     }
 
@@ -189,7 +213,11 @@ mod tests {
             "drag saving {:.1}%",
             s.drag_saving_pct()
         );
-        assert!(s.space_saving_pct() > 10.0, "space {:.1}%", s.space_saving_pct());
+        assert!(
+            s.space_saving_pct() > 10.0,
+            "space {:.1}%",
+            s.space_saving_pct()
+        );
     }
 
     #[test]

@@ -119,8 +119,12 @@ mod tests {
         use heapdrag_vm::interp::{Vm, VmConfig};
         for w in all_workloads() {
             for input in [(w.default_input)(), (w.alternate_input)()] {
-                let o = Vm::new(&w.original(), VmConfig::default()).run(&input).unwrap();
-                let r = Vm::new(&w.revised(), VmConfig::default()).run(&input).unwrap();
+                let o = Vm::new(&w.original(), VmConfig::default())
+                    .run(&input)
+                    .unwrap();
+                let r = Vm::new(&w.revised(), VmConfig::default())
+                    .run(&input)
+                    .unwrap();
                 assert_eq!(o.output, r.output, "{} on {input:?}", w.name);
             }
         }
