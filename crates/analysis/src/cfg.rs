@@ -3,12 +3,13 @@
 //! iterates over.
 //!
 //! Methods in this VM are small, so the dataflow analyses run directly over
-//! instructions; the [`Cfg`] precomputes successor and predecessor lists,
+//! instructions; the [`Cfg`] precomputes successor and predecessor lists
+//! from the VM's one successor rule, [`heapdrag_vm::flow::successors`],
 //! including exception edges (every pc covered by a handler has an edge to
 //! the handler entry).
 
 use heapdrag_vm::class::Method;
-use heapdrag_vm::insn::Insn;
+use heapdrag_vm::flow::successors;
 
 /// Control-flow graph of one method.
 #[derive(Debug, Clone)]
@@ -24,29 +25,11 @@ impl Cfg {
     pub fn build(method: &Method) -> Self {
         let n = method.code.len();
         let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (pc, insn) in method.code.iter().enumerate() {
-            let pc32 = pc as u32;
-            let mut s = Vec::new();
-            match insn {
-                Insn::Jump(t) => s.push(*t),
-                Insn::Branch(t) | Insn::BranchIfNull(t) | Insn::BranchIfNotNull(t) => {
-                    s.push(pc32 + 1);
-                    s.push(*t);
-                }
-                Insn::Ret | Insn::RetVal | Insn::Throw => {}
-                _ => s.push(pc32 + 1),
-            }
-            // Exception edges: any covered instruction may transfer to the
-            // handler entry.
-            for h in &method.handlers {
-                if pc32 >= h.start_pc && pc32 < h.end_pc {
-                    s.push(h.handler_pc);
-                }
-            }
-            s.retain(|t| (*t as usize) < n);
+        for (pc, s) in succs.iter_mut().enumerate() {
+            let targets = successors(method, pc as u32).map(|(t, _)| t);
+            s.extend(targets.filter(|&t| (t as usize) < n));
             s.sort_unstable();
             s.dedup();
-            succs[pc] = s;
         }
         let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (pc, ss) in succs.iter().enumerate() {
@@ -148,6 +131,7 @@ impl Cfg {
 mod tests {
     use super::*;
     use heapdrag_vm::class::Handler;
+    use heapdrag_vm::insn::Insn;
 
     fn method(code: Vec<Insn>) -> Method {
         let mut m = Method::new("f", 0, 4);

@@ -6,7 +6,7 @@
 //!
 //! | §5 analysis | module |
 //! |---|---|
-//! | control flow & stack maps | [`cfg`](mod@cfg), [`types`] |
+//! | control flow & stack maps (on the VM's frame solver, [`heapdrag_vm::flow`]) | [`cfg`](mod@cfg), [`types`], [`provenance`] |
 //! | liveness of reference locals (death points for `assign null`) | [`liveness`](mod@liveness) |
 //! | usage analysis (write-only statics/fields) | [`usage`] |
 //! | indirect-usage analysis (never-dereferenced allocations) | [`indirect_usage`] |

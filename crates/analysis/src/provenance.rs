@@ -4,14 +4,15 @@
 //! This is the workhorse behind the indirect-usage analysis (§5.1) and the
 //! escape checks of constructor purity: it answers "where can the object
 //! allocated at pc *p* flow inside this method?" and "is this `putfield`
-//! receiver the constructor's own receiver?".
+//! receiver the constructor's own receiver?". It runs the VM's frame
+//! solver, [`heapdrag_vm::flow`], over the [`Prov`] lattice.
 
+use heapdrag_vm::flow::{self, Frame};
 use heapdrag_vm::ids::MethodId;
 use heapdrag_vm::insn::Insn;
 use heapdrag_vm::program::Program;
 
-use crate::cfg::Cfg;
-use crate::types::{pushes_int, transfer};
+use crate::types::pushes_int;
 
 /// Abstract origin of a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,18 +59,12 @@ fn join(a: Prov, b: Prov) -> Prov {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Frame {
-    stack: Vec<Prov>,
-    locals: Vec<Prov>,
-}
-
 /// Provenance solution: the frame entering each pc (`None` when
 /// unreachable or when inference bailed out).
 #[derive(Debug, Clone)]
 pub struct MethodProv {
     /// State entering each pc.
-    before: Vec<Option<Frame>>,
+    before: Vec<Option<Frame<Prov>>>,
 }
 
 impl MethodProv {
@@ -95,91 +90,20 @@ impl MethodProv {
 }
 
 /// Runs provenance inference over one method. Returns `None` when the
-/// bytecode defeats the simulation (an underflow or a stack mismatch,
-/// which only a program edited after linking can have); callers must then
-/// treat everything as [`Prov::Other`].
+/// bytecode defeats the simulation (an underflow, a stack mismatch or
+/// control falling off the end, which only a program edited after linking
+/// can have); callers must then treat everything as [`Prov::Other`].
 pub fn infer_provenance(program: &Program, method_id: MethodId) -> Option<MethodProv> {
     let method = &program.methods[method_id.index()];
-    let cfg = Cfg::build(method);
-    let n = method.code.len();
-    let mut before: Vec<Option<Frame>> = vec![None; n];
-    if n == 0 {
-        return Some(MethodProv { before });
-    }
-
-    let mut entry_locals = vec![Prov::Other; method.num_locals as usize];
-    for (i, slot) in entry_locals
-        .iter_mut()
-        .enumerate()
-        .take(method.num_params as usize)
-    {
-        *slot = Prov::Param(i as u16);
-    }
-    if !method.is_static && method.num_params > 0 {
-        entry_locals[0] = Prov::This;
-    }
-    before[0] = Some(Frame {
-        stack: Vec::new(),
-        locals: entry_locals,
-    });
-
-    let mut work = vec![0u32];
-    while let Some(pc) = work.pop() {
-        let Some(state) = before[pc as usize].clone() else {
-            continue;
-        };
-        let insn = method.code[pc as usize];
-        let mut stack = state.stack;
-        let mut locals = state.locals;
-
-        let pushed = |_| pushed_prov(pc, insn);
-        if !transfer(program, insn, &mut stack, &mut locals, pushed) {
-            return None;
-        }
-
-        let out = Frame { stack, locals };
-        for &succ in cfg.succs(pc) {
-            let is_exception_edge = method
-                .handlers
-                .iter()
-                .any(|h| h.handler_pc == succ && pc >= h.start_pc && pc < h.end_pc)
-                && !matches!(insn.jump_target(), Some(t) if t == succ)
-                && succ != pc + 1;
-            let incoming = if is_exception_edge {
-                Frame {
-                    stack: vec![Prov::Other],
-                    locals: out.locals.clone(),
-                }
-            } else {
-                out.clone()
-            };
-            match &mut before[succ as usize] {
-                slot @ None => {
-                    *slot = Some(incoming);
-                    work.push(succ);
-                }
-                Some(existing) => {
-                    if existing.stack.len() != incoming.stack.len() {
-                        return None;
-                    }
-                    let mut changed = false;
-                    for (a, b) in existing.stack.iter_mut().zip(&incoming.stack) {
-                        let j = join(*a, *b);
-                        changed |= j != *a;
-                        *a = j;
-                    }
-                    for (a, b) in existing.locals.iter_mut().zip(&incoming.locals) {
-                        let j = join(*a, *b);
-                        changed |= j != *a;
-                        *a = j;
-                    }
-                    if changed {
-                        work.push(succ);
-                    }
-                }
-            }
-        }
-    }
+    let entry_locals = (0..method.num_locals)
+        .map(|i| match i {
+            _ if i >= method.num_params => Prov::Other,
+            0 if !method.is_static => Prov::This,
+            _ => Prov::Param(i),
+        })
+        .collect();
+    let pushed = |pc, insn, _| pushed_prov(pc, insn);
+    let before = flow::solve(program, method, entry_locals, Prov::Other, join, pushed).ok()?;
     Some(MethodProv { before })
 }
 

@@ -1,15 +1,15 @@
 //! Abstract interpretation of operand-stack and local-variable types —
 //! the stack-map inference the paper's §5 leans on (via Agesen et al.) to
-//! know which locals hold references at each program point.
+//! know which locals hold references at each program point. It runs the
+//! VM's frame solver, [`heapdrag_vm::flow`], over the [`AbsType`] lattice.
 
 use std::error::Error;
 use std::fmt;
 
+use heapdrag_vm::flow::{self, Frame};
 use heapdrag_vm::ids::{ClassId, MethodId};
 use heapdrag_vm::insn::{Insn, OpcodeClass};
 use heapdrag_vm::program::Program;
-
-use crate::cfg::Cfg;
 
 /// The type lattice: `Bottom ⊑ {Int, Null ⊑ Ref(_) ⊑ Ref(None)} ⊑ Top`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,15 +65,6 @@ fn common_super(program: &Program, a: ClassId, b: ClassId) -> Option<ClassId> {
     None
 }
 
-/// The abstract machine state at one program point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AbsFrame {
-    /// Operand-stack types, bottom first.
-    pub stack: Vec<AbsType>,
-    /// Local-variable types.
-    pub locals: Vec<AbsType>,
-}
-
 /// A type-inference failure (the analogue of a bytecode-verifier error).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypeError {
@@ -102,7 +93,7 @@ impl Error for TypeError {}
 #[derive(Debug, Clone)]
 pub struct MethodTypes {
     /// State entering each pc.
-    pub before: Vec<Option<AbsFrame>>,
+    pub before: Vec<Option<Frame<AbsType>>>,
 }
 
 impl MethodTypes {
@@ -122,48 +113,6 @@ impl MethodTypes {
             .and_then(|f| f.stack.iter().rev().nth(depth).copied())
             .unwrap_or(AbsType::Bottom)
     }
-}
-
-/// Applies `insn` to an abstract operand stack and locals through the
-/// VM's stack-effect table ([`Insn::stack_effect`]). `dup`, `swap`, `load`
-/// and `store` move values; every other instruction pops its operands and,
-/// when it pushes, pushes `pushed(top)`, where `top` is the operand that
-/// was on top of the stack (a `getfield`'s receiver). Returns `false` on
-/// underflow.
-pub(crate) fn transfer<T: Copy>(
-    program: &Program,
-    insn: Insn,
-    stack: &mut Vec<T>,
-    locals: &mut [T],
-    pushed: impl FnOnce(Option<T>) -> T,
-) -> bool {
-    match insn {
-        Insn::Dup => match stack.last() {
-            Some(&t) => stack.push(t),
-            None => return false,
-        },
-        Insn::Swap => match stack.len() {
-            n @ 2.. => stack.swap(n - 1, n - 2),
-            _ => return false,
-        },
-        Insn::Load(l) => stack.push(locals[l as usize]),
-        Insn::Store(l) => match stack.pop() {
-            Some(v) => locals[l as usize] = v,
-            None => return false,
-        },
-        _ => {
-            let (pops, pushes) = insn.stack_effect(program);
-            let Some(base) = stack.len().checked_sub(pops) else {
-                return false;
-            };
-            let top = stack.last().copied();
-            stack.truncate(base);
-            if pushes == 1 {
-                stack.push(pushed(top));
-            }
-        }
-    }
-    true
 }
 
 /// True for the instructions that always push an integer: constants,
@@ -226,9 +175,10 @@ impl TypeEnv for TopEnv {}
 ///
 /// # Errors
 ///
-/// Returns a [`TypeError`] on stack-depth mismatches at joins or underflow,
-/// which [`Program::link`] rules out; only a program edited after linking
-/// can hit them.
+/// Returns a [`TypeError`] on an underflow, a stack-depth mismatch at a
+/// join or control falling off the end of the code, which
+/// [`Program::link`] rules out; only a program edited after linking can
+/// hit them.
 pub fn infer(program: &Program, method_id: MethodId) -> Result<MethodTypes, TypeError> {
     infer_in(program, method_id, &TopEnv)
 }
@@ -245,107 +195,24 @@ pub fn infer_in(
     env: &dyn TypeEnv,
 ) -> Result<MethodTypes, TypeError> {
     let method = &program.methods[method_id.index()];
-    let cfg = Cfg::build(method);
-    let n = method.code.len();
-    let mut before: Vec<Option<AbsFrame>> = vec![None; n];
-    if n == 0 {
-        return Ok(MethodTypes { before });
-    }
-
-    let mut entry_locals = vec![AbsType::Bottom; method.num_locals as usize];
-    for (i, slot) in entry_locals
-        .iter_mut()
-        .enumerate()
-        .take(method.num_params as usize)
-    {
-        *slot = if i == 0 && !method.is_static {
-            AbsType::Ref(method.class)
-        } else if i == 0 && method.class.is_none() {
+    let entry_locals = (0..method.num_locals)
+        .map(|i| match i {
+            _ if i >= method.num_params => AbsType::Bottom,
+            0 if !method.is_static => AbsType::Ref(method.class),
             // Entry convention: local 0 of a free function holds the input
             // array when it is the program entry; model it as a ref.
-            AbsType::Ref(Some(program.builtins.array))
-        } else {
-            AbsType::Top
-        };
-    }
-    before[0] = Some(AbsFrame {
-        stack: Vec::new(),
-        locals: entry_locals,
-    });
-
-    let mk_err = |pc: u32, message: String| TypeError {
+            0 if method.class.is_none() => AbsType::Ref(Some(program.builtins.array)),
+            _ => AbsType::Top,
+        })
+        .collect();
+    let (thrown, join) = (AbsType::Ref(None), |a, b| join(program, a, b));
+    let pushed = |_, insn, top| pushed_type(program, env, insn, top);
+    let before = flow::solve(program, method, entry_locals, thrown, join, pushed);
+    let before = before.map_err(|flow::FlowError { pc, reason }| TypeError {
         method: method_id,
         pc,
-        message,
-    };
-
-    let mut work = vec![0u32];
-    while let Some(pc) = work.pop() {
-        let Some(state) = before[pc as usize].clone() else {
-            continue;
-        };
-        let insn = method.code[pc as usize];
-        let AbsFrame {
-            mut stack,
-            mut locals,
-        } = state;
-        let pushed = |top| pushed_type(program, env, insn, top);
-        if !transfer(program, insn, &mut stack, &mut locals, pushed) {
-            return Err(mk_err(pc, "operand stack underflow".into()));
-        }
-
-        let out = AbsFrame { stack, locals };
-        for &succ in cfg.succs(pc) {
-            // Exception edges reset the stack to just the thrown reference.
-            let is_exception_edge = method
-                .handlers
-                .iter()
-                .any(|h| h.handler_pc == succ && pc >= h.start_pc && pc < h.end_pc)
-                && !matches!(insn.jump_target(), Some(t) if t == succ)
-                && succ != pc + 1;
-            let incoming = if is_exception_edge {
-                AbsFrame {
-                    stack: vec![AbsType::Ref(None)],
-                    locals: out.locals.clone(),
-                }
-            } else {
-                out.clone()
-            };
-            match &mut before[succ as usize] {
-                slot @ None => {
-                    *slot = Some(incoming);
-                    work.push(succ);
-                }
-                Some(existing) => {
-                    if existing.stack.len() != incoming.stack.len() {
-                        return Err(mk_err(
-                            succ,
-                            format!(
-                                "stack depth mismatch at join: {} vs {}",
-                                existing.stack.len(),
-                                incoming.stack.len()
-                            ),
-                        ));
-                    }
-                    let mut changed = false;
-                    for (a, b) in existing.stack.iter_mut().zip(&incoming.stack) {
-                        let j = join(program, *a, *b);
-                        changed |= j != *a;
-                        *a = j;
-                    }
-                    for (a, b) in existing.locals.iter_mut().zip(&incoming.locals) {
-                        let j = join(program, *a, *b);
-                        changed |= j != *a;
-                        *a = j;
-                    }
-                    if changed {
-                        work.push(succ);
-                    }
-                }
-            }
-        }
-    }
-
+        message: reason,
+    })?;
     Ok(MethodTypes { before })
 }
 
@@ -353,7 +220,10 @@ pub fn infer_in(
 mod tests {
     use super::*;
     use heapdrag_vm::builder::ProgramBuilder;
-    use heapdrag_vm::class::Visibility;
+    use heapdrag_vm::class::{Handler, Method, Visibility};
+    use heapdrag_vm::{Vm, VmConfig, VmError};
+
+    use crate::provenance::{infer_provenance, Prov};
 
     fn simple_program() -> (Program, MethodId, ClassId) {
         let mut b = ProgramBuilder::new();
@@ -447,5 +317,42 @@ mod tests {
         let t = infer(&p, p.entry).unwrap();
         assert!(t.before[1].is_none());
         assert_eq!(t.local(1, 0), AbsType::Bottom);
+    }
+
+    #[test]
+    fn handler_entered_by_fall_through_joins_both_edges() {
+        // The catch-all handler over the `div` starts at the `store` the
+        // `div` falls through to, so pc 3 is entered with the quotient and
+        // with the thrown reference.
+        let mut p = Program::empty();
+        let mut main = Method::new("main", 1, 2);
+        main.code = vec![
+            Insn::PushInt(1),
+            Insn::PushInt(0),
+            Insn::Div,
+            Insn::Store(1),
+            Insn::Load(1),
+            Insn::PushInt(1),
+            Insn::Add,
+            Insn::Print,
+            Insn::Ret,
+        ];
+        main.handlers = vec![Handler {
+            start_pc: 2,
+            end_pc: 3,
+            handler_pc: 3,
+            catch: None,
+        }];
+        p.methods.push(main);
+        p.link().unwrap();
+        let err = Vm::new(&p, VmConfig::default()).run(&[]).unwrap_err();
+        assert!(matches!(err, VmError::TypeMismatch { .. }), "{err}");
+
+        let main = MethodId(0);
+        assert_eq!(infer(&p, main).unwrap().stack(3, 0), AbsType::Top);
+        assert_eq!(infer(&p, main).unwrap().local(4, 1), AbsType::Top);
+        let prov = infer_provenance(&p, main).unwrap();
+        assert_eq!(prov.stack(3, 0), Prov::Other);
+        assert_eq!(prov.local(4, 1), Prov::Other);
     }
 }

@@ -52,6 +52,7 @@ pub mod class;
 pub mod code_edit;
 pub mod disasm;
 pub mod error;
+pub mod flow;
 pub mod gc;
 pub mod heap;
 pub mod ids;

@@ -3,17 +3,17 @@
 //! exactly the thrown reference entering each handler, no control falling
 //! off the end of a method, and call arities that match their targets.
 //!
-//! The dataflow follows the instruction set's one stack-effect table,
-//! [`Insn::stack_effect`], and yields each method's exact maximum depth,
-//! which link stores in [`Method::max_stack`](crate::class::Method) for
-//! frame sizing. Values are not typed: fields, array elements, statics and
-//! parameters carry no declared type in this VM. `Program` fields stay
-//! public, so the interpreters keep their own run-time stack checks for
-//! programs edited after link.
+//! It is the [`flow`](crate::flow) solver over unit values, so it walks
+//! the edges the stack-map analyses walk, and it yields each method's
+//! exact maximum depth for [`Method::max_stack`](crate::class::Method).
+//! Values are not typed: fields, array elements, statics and parameters
+//! carry no declared type in this VM. `Program` fields stay public, so the
+//! interpreters keep their run-time stack checks for programs edited after
+//! link.
 
 use crate::error::VmError;
+use crate::flow;
 use crate::ids::MethodId;
-use crate::insn::Insn;
 use crate::program::Program;
 
 /// Verifies stack discipline for one method of a program whose ids are
@@ -25,72 +25,15 @@ use crate::program::Program;
 /// Returns [`VmError::InvalidBytecode`] naming the first offending pc.
 pub(crate) fn verify_method(program: &Program, method_id: MethodId) -> Result<usize, VmError> {
     let method = &program.methods[method_id.index()];
-    let n = method.code.len();
-    let mut depth_at: Vec<Option<usize>> = vec![None; n];
-    if n == 0 {
-        return Ok(0);
-    }
-    let bad = |pc: u32, reason: String| VmError::InvalidBytecode {
+    let locals = vec![(); method.num_locals as usize];
+    let frames = flow::solve(program, method, locals, (), |(), ()| (), |_, _, _| ());
+    let frames = frames.map_err(|flow::FlowError { pc, reason }| VmError::InvalidBytecode {
         method: method_id,
         pc,
         reason,
-    };
-    depth_at[0] = Some(0);
-    let mut max = 0;
-    let mut work = vec![0u32];
-    while let Some(pc) = work.pop() {
-        let depth = depth_at[pc as usize].expect("queued pcs have depths");
-        let insn = &method.code[pc as usize];
-        let (pops, pushes) = insn.stack_effect(program);
-        if depth < pops {
-            return Err(bad(
-                pc,
-                format!("stack underflow: depth {depth}, `{insn}` pops {pops}"),
-            ));
-        }
-        let out = depth - pops + pushes;
-        max = max.max(depth).max(out);
-
-        let mut propagate = |target: u32, d: usize, work: &mut Vec<u32>| -> Result<(), VmError> {
-            match depth_at[target as usize] {
-                None => {
-                    depth_at[target as usize] = Some(d);
-                    work.push(target);
-                    Ok(())
-                }
-                Some(existing) if existing == d => Ok(()),
-                Some(existing) => Err(bad(
-                    target,
-                    format!("inconsistent stack depth at join: {existing} vs {d}"),
-                )),
-            }
-        };
-
-        match insn {
-            Insn::Jump(t) => propagate(*t, out, &mut work)?,
-            Insn::Branch(t) | Insn::BranchIfNull(t) | Insn::BranchIfNotNull(t) => {
-                propagate(*t, out, &mut work)?;
-                if (pc as usize) + 1 < n {
-                    propagate(pc + 1, out, &mut work)?;
-                }
-            }
-            Insn::Ret | Insn::RetVal | Insn::Throw => {}
-            _ => {
-                if (pc as usize) + 1 < n {
-                    propagate(pc + 1, out, &mut work)?;
-                } else {
-                    return Err(bad(pc, "control falls off the end of the method".into()));
-                }
-            }
-        }
-        // Handler entries receive exactly the thrown reference.
-        for h in &method.handlers {
-            if pc >= h.start_pc && pc < h.end_pc {
-                propagate(h.handler_pc, 1, &mut work)?;
-            }
-        }
-    }
-    Ok(max)
+    })?;
+    let depths = frames.iter().flatten().map(|f| f.stack.len());
+    Ok(depths.max().unwrap_or(0))
 }
 
 #[cfg(test)]
@@ -166,6 +109,16 @@ mod tests {
     #[test]
     fn link_rejects_falling_off_the_end() {
         let err = link_main(vec![Insn::PushInt(1), Insn::Pop], vec![]).unwrap_err();
+        assert!(
+            matches!(err, VmError::InvalidBytecode { pc: 1, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("falls off"), "{err}");
+    }
+
+    #[test]
+    fn link_rejects_a_branch_that_can_fall_off_the_end() {
+        let err = link_main(vec![Insn::PushInt(0), Insn::Branch(0)], vec![]).unwrap_err();
         assert!(
             matches!(err, VmError::InvalidBytecode { pc: 1, .. }),
             "{err}"

@@ -20,6 +20,7 @@
 //! rejected by the linker (which verifies) or run to the same result, or
 //! the same error, under both interpreters.
 
+use heapdrag::analysis::{infer, infer_provenance};
 use heapdrag::core::{
     profile, DragAnalyzer, LogFormat, Pipeline, ProfileRun, ReportSections, VmConfig,
 };
@@ -303,6 +304,31 @@ fn mutate_one_insn(program: &mut Program, rng: &mut Rng) -> String {
     format!("method {mid} pc {pc}: `{before}` -> `{}`", method.code[pc])
 }
 
+/// Link verification and the stack-map analyses run on one frame solver,
+/// so on a linked program both analyses succeed for every method, reach
+/// the same pcs, and never exceed the depth link verified.
+fn assert_analyses_agree_with_link(program: &Program, what: &str) {
+    for (i, method) in program.methods.iter().enumerate() {
+        let mid = MethodId(i as u32);
+        let types = infer(program, mid).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let prov = infer_provenance(program, mid)
+            .unwrap_or_else(|| panic!("{what}: provenance of {mid} bailed out"));
+        for (pc, frame) in types.before.iter().enumerate() {
+            assert_eq!(
+                prov.analyzed(pc as u32),
+                frame.is_some(),
+                "{what}: {mid} pc {pc}"
+            );
+            let depth = frame.as_ref().map_or(0, |f| f.stack.len());
+            assert!(
+                depth <= method.max_stack,
+                "{what}: {mid} pc {pc} depth {depth} over max_stack {}",
+                method.max_stack
+            );
+        }
+    }
+}
+
 #[test]
 fn hostile_bytecode_is_rejected_or_interpreter_invariant() {
     check("hostile bytecode differential", 64, |rng: &mut Rng| {
@@ -311,12 +337,14 @@ fn hostile_bytecode_is_rejected_or_interpreter_invariant() {
         // mutation's doing.
         let mut relinked = program.clone();
         relinked.link().expect("relinking is idempotent");
+        assert_analyses_agree_with_link(&relinked, "unmutated");
         for _ in 0..8 {
             let mut mutant = program.clone();
             let what = mutate_one_insn(&mut mutant, rng);
             if mutant.link().is_err() {
                 continue;
             }
+            assert_analyses_agree_with_link(&mutant, &what);
             // The budget and heap limit bound every mutant's run: a mutated
             // loop bound may never exit, a mutated length may be huge.
             let bound = |config: VmConfig| VmConfig {
