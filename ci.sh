@@ -41,7 +41,7 @@
 #      scoreboard must match the committed golden byte for byte and stay
 #      byte-identical when the pool size and shard count change
 #  14. a live-mode smoke: `live` on the smoke program must emit
-#      intermediate snapshots, report zero ring drops, match the
+#      intermediate snapshots, report zero dropped events, match the
 #      post-mortem `report` output byte-for-byte (final-report prefix),
 #      be deterministic across two runs, and `profile --live-window
 #      unbounded` must write a log byte-identical to the file-logging

@@ -10,7 +10,7 @@
 //! [`DragEngine::offline`] and one built with [`DragEngine::live`]
 //! perform the identical integer sums in the identical order.
 //!
-//! The engine keeps no per-object state: the live consumer owns a
+//! The engine keeps no per-object state: the live fold owns a
 //! [`DragProfiler`](crate::DragProfiler), the one trailer table, and
 //! hands the engine each record that table finishes. On top of the
 //! shared fold a live engine offers two dimensions:
@@ -25,7 +25,7 @@
 //!   are nondecreasing), and stale slots are excluded by bucket index at
 //!   snapshot time, so memory is O(slots × sites-per-slot).
 //! * **Coldness**: per-site log₂ idle-interval histograms
-//!   ([`IdleHistogram`]) of the gaps the live consumer reads off the
+//!   ([`IdleHistogram`]) of the gaps the live fold reads off the
 //!   trailers, and — at each snapshot, over the live records the
 //!   caller passes in — the *cold-resident* bytes per site: objects still
 //!   resident whose last use (or creation) is at least
@@ -559,9 +559,9 @@ where
         self.retains.push(r);
     }
 
-    /// Advances the allocation clock to `time` — the live consumer calls
-    /// this on every heap event, matched or not, so the snapshot cadence
-    /// depends only on the event stream.
+    /// Advances the allocation clock to `time` — the live fold calls this
+    /// on every heap event, so the snapshot cadence depends only on the
+    /// event stream.
     pub(crate) fn advance(&mut self, time: u64) {
         self.clock = self.clock.max(time);
     }

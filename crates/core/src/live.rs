@@ -1,35 +1,33 @@
-//! Live in-process drag profiling: run a program while a second thread
-//! folds its heap events through the shared [`DragEngine`], emitting
-//! periodic windowed snapshots (with the coldness dimension) and a final
-//! report — no HDLOG file round-trip.
+//! Live in-process drag profiling: run a program while its heap events
+//! fold through the shared [`DragEngine`], emitting periodic windowed
+//! snapshots (with the coldness dimension) and a final report — no HDLOG
+//! file round-trip.
 //!
-//! The VM thread carries a [`LiveProfiler`] observer that pushes every
-//! heap event into a bounded SPSC ring (`heapdrag_vm::live`); its fast
-//! path never blocks — a full ring drops the event and counts it. The
-//! consumer thread feeds the events to a plain [`DragProfiler`], the
-//! same trailer table the file-logging path runs, and the engine folds
-//! each record that table finishes. With an unbounded window and zero
-//! drops, the records, and therefore the final report, are the ones a
-//! post-mortem `heapdrag report` over a log of the same run sees — the
-//! differential suite in `tests/live_parity.rs` holds this for all nine
-//! workloads.
+//! The VM carries a `LiveFold` as its [`HeapObserver`], on the thread
+//! that runs the program, as the paper's on-line phase updates each
+//! object's trailer inside the running JVM. The fold steps a plain
+//! [`DragProfiler`], the same trailer table the file-logging path runs,
+//! and the engine folds each record that table finishes. Every event
+//! reaches the fold, so with an unbounded window the records, and
+//! therefore the final report, are the ones a post-mortem `heapdrag
+//! report` over a log of the same run sees — the differential suite in
+//! `tests/live_parity.rs` holds this for all nine workloads.
 //!
 //! Snapshots fire on allocation-clock cadence ([`LiveOptions::every`]),
-//! so their count and contents are deterministic whenever no events were
-//! dropped. Mid-run snapshots label sites `chain#N`: the chain-name
-//! table lives in the VM's `SiteTable`, which is only available after
-//! the run; the final report resolves real (normalized) names and is the
-//! place byte-parity is claimed.
+//! so their count and contents are deterministic. Mid-run snapshots
+//! label sites `chain#N`: the chain-name table lives in the VM's
+//! `SiteTable`, which is only available after the run; the final report
+//! resolves real (normalized) names and is the place byte-parity is
+//! claimed.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Duration;
 
 use heapdrag_vm::ids::{ChainId, ObjectId, SiteId};
 use heapdrag_vm::interp::{RunOutcome, Vm, VmConfig};
-use heapdrag_vm::live::{ring, LiveEvent, LiveProfiler, LiveShared, RingConsumer};
-use heapdrag_vm::observer::HeapObserver;
+use heapdrag_vm::observer::{
+    AllocEvent, FreeEvent, GcEvent, HeapObserver, RetainDelivery, RetainEvent, UseDelivery,
+    UseEvent,
+};
 use heapdrag_vm::program::Program;
 use heapdrag_vm::site::SiteTable;
 use heapdrag_vm::VmError;
@@ -51,8 +49,6 @@ pub struct LiveOptions {
     pub cold_after: u64,
     /// Snapshot cadence: one snapshot per `every` bytes of allocation.
     pub every: u64,
-    /// SPSC ring capacity in events (rounded up to a power of two).
-    pub ring_capacity: usize,
     /// Site rows per snapshot table.
     pub top: usize,
     /// Pattern-classification thresholds (the analyzer's).
@@ -65,7 +61,6 @@ impl Default for LiveOptions {
             window: WindowSpec::Unbounded,
             cold_after: 256 * 1024,
             every: 512 * 1024,
-            ring_capacity: 1 << 18,
             top: 10,
             patterns: PatternConfig::default(),
         }
@@ -75,8 +70,8 @@ impl Default for LiveOptions {
 /// Everything a live run produced.
 #[derive(Debug)]
 pub struct LiveRun {
-    /// The final drag report — with [`WindowSpec::Unbounded`] and zero
-    /// [`dropped`](Self::dropped), byte-identical (rendered with
+    /// The final drag report — with [`WindowSpec::Unbounded`],
+    /// byte-identical (rendered with
     /// [`ReportSections::standard`](crate::ReportSections::standard)) to `report` over a log of the same
     /// run.
     pub report: DragReport,
@@ -84,10 +79,8 @@ pub struct LiveRun {
     pub coldness: Vec<SiteIdleSummary>,
     /// Normalized chain names for every site the report references.
     pub chain_names: HashMap<ChainId, String>,
-    /// One record per object whose allocation event arrived, in id order:
-    /// with zero [`dropped`](Self::dropped), exactly the records the
-    /// file-logging profiler collects. An object whose free and the
-    /// exit event were both dropped keeps its unfinished trailer.
+    /// One record per object allocated, in id order: exactly the records
+    /// the file-logging profiler collects.
     pub records: Vec<ObjectRecord>,
     /// Deep-GC samples, in time order.
     pub samples: Vec<GcSample>,
@@ -98,9 +91,11 @@ pub struct LiveRun {
     pub end_time: u64,
     /// Intermediate snapshots emitted.
     pub snapshots: u64,
-    /// Heap events the ring buffer dropped (0 ⇒ deterministic run).
+    /// Heap events lost on the way to the fold: always 0, since the fold
+    /// runs on the VM thread. Kept for callers that check it.
     pub dropped: u64,
-    /// Events that referenced an object whose alloc event was dropped.
+    /// Events for an object the trailer table did not hold: always 0, as
+    /// [`dropped`](Self::dropped).
     pub unmatched: u64,
     /// The VM run outcome (program output, steps, GC statistics).
     pub outcome: RunOutcome,
@@ -118,8 +113,9 @@ impl ChainNamer for LiveRun {
 }
 
 /// Renders one snapshot. Sites are labeled `chain#N` — real names are
-/// only resolvable after the run (see the module docs).
-fn render_snapshot(snap: &EngineSnapshot, seq: u64, dropped: u64, top: usize) -> String {
+/// only resolvable after the run (see the module docs). The header keeps
+/// its `dropped: 0 events` field so the snapshot format stays stable.
+fn render_snapshot(snap: &EngineSnapshot, seq: u64, top: usize) -> String {
     let mut out = String::new();
     let window = match snap.window {
         WindowSpec::Unbounded => "window: unbounded".to_string(),
@@ -132,8 +128,8 @@ fn render_snapshot(snap: &EngineSnapshot, seq: u64, dropped: u64, top: usize) ->
         snap.clock
     ));
     out.push_str(&format!(
-        "folded: {} records; dropped: {} events; resident: {} objects / {} bytes\n",
-        snap.records, dropped, snap.resident_objects, snap.resident_bytes
+        "folded: {} records; dropped: 0 events; resident: {} objects / {} bytes\n",
+        snap.records, snap.resident_objects, snap.resident_bytes
     ));
     out.push_str(&format!(
         "cold (idle >= {} bytes): {} objects / {} bytes\n",
@@ -165,9 +161,9 @@ fn render_snapshot(snap: &EngineSnapshot, seq: u64, dropped: u64, top: usize) ->
 
 type LiveEngine = DragEngine<fn(ChainId) -> Option<SiteId>>;
 
-/// The consumer thread's per-event state: the trailer table the ring
-/// feeds, the engine folding every record it finishes, and the counts.
-struct LiveFold {
+/// The live run's heap observer: the trailer table the VM feeds, the
+/// engine folding every record it finishes, and the snapshot cadence.
+struct LiveFold<S> {
     profiler: DragProfiler,
     engine: LiveEngine,
     /// Ids of the objects allocated, in id order, less the finished ones
@@ -176,17 +172,27 @@ struct LiveFold {
     /// ever allocated.
     live_ids: Vec<ObjectId>,
     events: u64,
-    unmatched: u64,
+    /// Snapshot cadence in allocation-clock bytes (at least 1).
+    every: u64,
+    top: usize,
+    /// `clock / every` at the last snapshot.
+    last_mark: u64,
+    snapshots: u64,
+    on_snapshot: S,
 }
 
-impl LiveFold {
-    fn new(config: EngineConfig) -> Self {
+impl<S: FnMut(&str)> LiveFold<S> {
+    fn new(config: EngineConfig, every: u64, top: usize, on_snapshot: S) -> Self {
         LiveFold {
             profiler: DragProfiler::new(),
             engine: DragEngine::live(config, |c: ChainId| Some(SiteId(c.0))),
             live_ids: Vec::new(),
             events: 0,
-            unmatched: 0,
+            every: every.max(1),
+            top,
+            last_mark: 0,
+            snapshots: 0,
+            on_snapshot,
         }
     }
 
@@ -200,69 +206,87 @@ impl LiveFold {
         )
     }
 
+    /// Counts the event just stepped and emits a snapshot each time the
+    /// clock crosses a multiple of `every`.
+    fn tick(&mut self) {
+        self.events += 1;
+        let mark = self.engine.clock() / self.every;
+        if mark > self.last_mark {
+            self.last_mark = mark;
+            self.snapshots += 1;
+            let text = render_snapshot(&self.snapshot(), self.snapshots, self.top);
+            (self.on_snapshot)(&text);
+        }
+    }
+}
+
+/// Every event advances the engine's clock and steps the trailer table;
+/// a use also records the idle gap since the object's previous touch,
+/// and a finished record folds with its last idle gap.
+impl<S: FnMut(&str)> HeapObserver for LiveFold<S> {
+    fn on_alloc(&mut self, e: AllocEvent) {
+        self.engine.advance(e.time);
+        self.profiler.on_alloc(e);
+        // Before the list would grow, drop the finished ids and leave
+        // room for as many pushes as ids remain: amortised O(1), and the
+        // list stays near twice the live objects.
+        if self.live_ids.len() == self.live_ids.capacity() {
+            let profiler = &self.profiler;
+            self.live_ids
+                .retain(|&id| profiler.live_record(id).is_some());
+            self.live_ids.reserve(self.live_ids.len().max(1_024));
+        }
+        self.live_ids.push(e.object);
+        self.tick();
+    }
+
+    fn on_use(&mut self, e: UseEvent) {
+        let engine = &mut self.engine;
+        engine.advance(e.time);
+        if let Some((site, previous)) = self.profiler.record_use(e) {
+            engine.record_idle(site, e.time.saturating_sub(previous));
+        }
+        self.tick();
+    }
+
+    fn on_free(&mut self, e: FreeEvent) {
+        let engine = &mut self.engine;
+        engine.advance(e.time);
+        if let Some(r) = self.profiler.record_free(e) {
+            fold_finished(engine, r);
+        }
+        self.tick();
+    }
+
+    fn on_deep_gc(&mut self, e: GcEvent) {
+        self.engine.advance(e.time);
+        self.profiler.on_deep_gc(e);
+        self.tick();
+    }
+
+    fn on_retain_sample(&mut self, e: RetainEvent) {
+        self.engine.advance(e.time);
+        self.profiler.on_retain_sample(e);
+        self.tick();
+    }
+
     /// The exit flush: finishes every record still live as an at-exit
-    /// record at `time` and folds it.
-    fn finish(&mut self, time: u64) {
+    /// record and folds it. The VM reports every survivor through
+    /// `on_free` first, so this normally finds none.
+    fn on_exit(&mut self, time: u64) {
         let engine = &mut self.engine;
         self.profiler
             .flush_at_exit(time, |r| fold_finished(engine, r));
         self.live_ids.clear();
+        self.tick();
     }
 
-    /// Feeds one ring event to the trailer table. The clock advances on
-    /// every event with a time; a use, free or retain sample for an
-    /// object the table does not hold (its allocation event was dropped)
-    /// counts as unmatched and is otherwise ignored.
-    fn step(&mut self, ev: LiveEvent) {
-        self.events += 1;
-        let engine = &mut self.engine;
-        let matched = match ev {
-            LiveEvent::Alloc(e) => {
-                engine.advance(e.time);
-                self.profiler.on_alloc(e);
-                // Before the list would grow, drop the finished ids and
-                // leave room for as many pushes as ids remain: amortised
-                // O(1), and the list stays near twice the live objects.
-                if self.live_ids.len() == self.live_ids.capacity() {
-                    let profiler = &self.profiler;
-                    self.live_ids
-                        .retain(|&id| profiler.live_record(id).is_some());
-                    self.live_ids.reserve(self.live_ids.len().max(1_024));
-                }
-                self.live_ids.push(e.object);
-                true
-            }
-            LiveEvent::Use(e) => {
-                engine.advance(e.time);
-                self.profiler
-                    .record_use(e)
-                    .map(|(site, previous)| {
-                        engine.record_idle(site, e.time.saturating_sub(previous))
-                    })
-                    .is_some()
-            }
-            LiveEvent::Free(e) => {
-                engine.advance(e.time);
-                self.profiler
-                    .record_free(e)
-                    .map(|r| fold_finished(engine, r))
-                    .is_some()
-            }
-            LiveEvent::DeepGc(e) => {
-                engine.advance(e.time);
-                self.profiler.on_deep_gc(e);
-                true
-            }
-            LiveEvent::Retain(e) => {
-                engine.advance(e.time);
-                self.profiler.record_retain(e)
-            }
-            LiveEvent::Exit { time } => {
-                self.finish(time);
-                true
-            }
-        };
-        self.unmatched += u64::from(!matched);
+    fn use_delivery(&self) -> UseDelivery {
+        UseDelivery::Coalesced
+    }
+
+    fn retain_delivery(&self) -> RetainDelivery {
+        RetainDelivery::Sample
     }
 }
 
@@ -273,137 +297,51 @@ fn fold_finished(engine: &mut LiveEngine, r: &ObjectRecord) {
     engine.fold(r);
 }
 
-/// Drains the ring until the producer is done, stepping every event and
-/// emitting a snapshot each time the clock crosses a multiple of
-/// `every`. Returns the fold and the number of snapshots.
-fn consume<S: FnMut(&str)>(
-    mut rx: RingConsumer<LiveEvent>,
-    shared: &LiveShared,
-    config: EngineConfig,
-    every: u64,
-    top: usize,
-    mut on_snapshot: S,
-) -> (LiveFold, u64) {
-    let mut fold = LiveFold::new(config);
-    let mut snapshots = 0u64;
-    let mut last_mark = 0u64;
-    let mut idle_spins = 0u32;
-    loop {
-        let ev = match rx.pop() {
-            Some(ev) => ev,
-            // `done` is set only after the producer's final push, so one
-            // more drain pass sees everything.
-            None if shared.done.load(Ordering::Acquire) => match rx.pop() {
-                Some(ev) => ev,
-                None => break,
-            },
-            None => {
-                idle_spins = idle_spins.saturating_add(1);
-                if idle_spins < 128 {
-                    std::hint::spin_loop();
-                } else if idle_spins < 1_024 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-                continue;
-            }
-        };
-        idle_spins = 0;
-        fold.step(ev);
-        let mark = fold.engine.clock() / every;
-        if mark > last_mark {
-            last_mark = mark;
-            snapshots += 1;
-            let snap = fold.snapshot();
-            let dropped = shared.dropped.load(Ordering::Relaxed);
-            on_snapshot(&render_snapshot(&snap, snapshots, dropped, top));
-        }
-    }
-    (fold, snapshots)
-}
-
-/// Runs `program` under live profiling: the VM on the calling thread,
-/// the drag engine on a consumer thread, joined before returning. Each
-/// rendered snapshot is passed to `on_snapshot` as it is produced (from
-/// the consumer thread).
+/// Runs `program` under live profiling on the calling thread: the VM
+/// steps the trailer table and the drag engine at every heap event.
+/// Each rendered snapshot is passed to `on_snapshot` as it is produced.
 ///
 /// When `registry` is given, the run publishes the `heapdrag_live_*`
-/// family: `heapdrag_live_events_total`, `heapdrag_live_dropped_total`,
-/// `heapdrag_live_snapshots_total`, `heapdrag_live_unmatched_total`
-/// counters and the `heapdrag_live_ring_capacity` gauge — plus the usual
-/// `vm_*` family via [`Vm::attach_metrics`].
+/// family — the `heapdrag_live_events_total` and
+/// `heapdrag_live_snapshots_total` counters — plus
+/// `heapdrag_retain_samples_total` and the usual `vm_*` family via
+/// [`Vm::attach_metrics`].
 ///
 /// # Errors
 ///
-/// Propagates any [`VmError`] from the run (the consumer thread is
-/// always joined first).
+/// Propagates any [`VmError`] from the run.
 ///
 /// # Panics
 ///
 /// The trailer table keeps one record per object allocated, as
 /// [`profile`](crate::profile)'s does, so memory grows with the objects
 /// allocated and a run of 2^32 objects or more panics.
-pub fn run_live<S>(
+pub fn run_live<S: FnMut(&str)>(
     program: &Program,
     input: &[i64],
     config: VmConfig,
     options: &LiveOptions,
     registry: Option<&heapdrag_obs::Registry>,
     on_snapshot: S,
-) -> Result<LiveRun, VmError>
-where
-    S: FnMut(&str) + Send,
-{
-    let (tx, rx) = ring::<LiveEvent>(options.ring_capacity);
-    let capacity = tx.capacity();
-    let mut profiler = LiveProfiler::new(tx);
-    let shared = profiler.shared();
+) -> Result<LiveRun, VmError> {
     let engine_config = EngineConfig {
         patterns: options.patterns,
         window: options.window,
         cold_after: options.cold_after,
     };
-    let every = options.every.max(1);
-
+    let mut fold = LiveFold::new(engine_config, options.every, options.top, on_snapshot);
     let mut vm = Vm::new(program, config);
     if let Some(r) = registry {
         vm.attach_metrics(r);
     }
-
-    let consumer_shared = Arc::clone(&shared);
-    let (outcome, out) = std::thread::scope(|scope| {
-        let consumer = scope.spawn(move || {
-            consume(
-                rx,
-                &consumer_shared,
-                engine_config,
-                every,
-                options.top,
-                on_snapshot,
-            )
-        });
-        let outcome = vm.run_observed(input, &mut profiler);
-        // On success `on_exit` already set `done`; on error this is the
-        // terminator that lets the consumer finish draining.
-        profiler.abort();
-        let out = consumer.join().expect("live consumer panicked");
-        (outcome, out)
-    });
-    let outcome = outcome?;
-
-    let (mut fold, snapshots) = out;
-    // A no-op unless the ring dropped the exit event: every record leaves
-    // finished, as the file-logging profiler's do.
-    fold.finish(outcome.end_time);
+    let outcome = vm.run_observed(input, &mut fold)?;
     let LiveFold {
         profiler,
         engine,
         events,
-        unmatched,
+        snapshots,
         ..
     } = fold;
-    let dropped = shared.dropped.load(Ordering::Relaxed);
 
     let sites = vm.into_sites();
     let chain_names: HashMap<ChainId, String> = engine
@@ -421,13 +359,9 @@ where
 
     if let Some(r) = registry {
         r.counter("heapdrag_live_events_total").add(events);
-        r.counter("heapdrag_live_dropped_total").add(dropped);
         r.counter("heapdrag_live_snapshots_total").add(snapshots);
-        r.counter("heapdrag_live_unmatched_total").add(unmatched);
         r.counter("heapdrag_retain_samples_total")
             .add(retains.len() as u64);
-        r.gauge("heapdrag_live_ring_capacity")
-            .set(i64::try_from(capacity).unwrap_or(i64::MAX));
     }
 
     Ok(LiveRun {
@@ -439,8 +373,8 @@ where
         retains,
         end_time: outcome.end_time,
         snapshots,
-        dropped,
-        unmatched,
+        dropped: 0,
+        unmatched: 0,
         outcome,
         sites,
     })
@@ -452,7 +386,7 @@ mod tests {
     use crate::profiler::profile;
     use heapdrag_vm::builder::ProgramBuilder;
     use heapdrag_vm::ids::ClassId;
-    use heapdrag_vm::observer::{AllocEvent, FreeEvent, GcEvent, UseEvent, UseKind};
+    use heapdrag_vm::observer::UseKind;
 
     /// A program that allocates a dragged buffer plus loop garbage —
     /// enough churn for several deep GCs.
@@ -540,7 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn vm_errors_still_join_the_consumer() {
+    fn vm_errors_are_returned() {
         let mut b = ProgramBuilder::new();
         let main = b.declare_method("main", None, true, 1, 1);
         {
@@ -564,35 +498,26 @@ mod tests {
         assert!(err.is_err());
     }
 
-    fn fold_with(window: WindowSpec, cold_after: u64) -> LiveFold {
-        LiveFold::new(EngineConfig {
+    /// A fold that never snapshots on its own.
+    fn fold_with(window: WindowSpec, cold_after: u64) -> LiveFold<impl FnMut(&str)> {
+        let config = EngineConfig {
             window,
             cold_after,
             ..EngineConfig::default()
-        })
+        };
+        LiveFold::new(config, u64::MAX, 10, |_: &str| {})
     }
 
-    fn alloc(id: u64, site: u32, size: u64, time: u64) -> LiveEvent {
-        LiveEvent::Alloc(AllocEvent::new(
-            ObjectId(id),
-            ClassId(0),
-            size,
-            time,
-            ChainId(site),
-        ))
+    fn alloc(id: u64, site: u32, size: u64, time: u64) -> AllocEvent {
+        AllocEvent::new(ObjectId(id), ClassId(0), size, time, ChainId(site))
     }
 
-    fn use_of(id: u64, site: u32, time: u64) -> LiveEvent {
-        LiveEvent::Use(UseEvent::new(
-            ObjectId(id),
-            UseKind::GetField,
-            time,
-            ChainId(site),
-        ))
+    fn use_of(id: u64, site: u32, time: u64) -> UseEvent {
+        UseEvent::new(ObjectId(id), UseKind::GetField, time, ChainId(site))
     }
 
-    fn free(id: u64, time: u64) -> LiveEvent {
-        LiveEvent::Free(FreeEvent::new(ObjectId(id), time))
+    fn free(id: u64, time: u64) -> FreeEvent {
+        FreeEvent::new(ObjectId(id), time)
     }
 
     /// Alloc/use/free events stepped through the trailer table finish the
@@ -620,13 +545,12 @@ mod tests {
 
         let mut fold = fold_with(WindowSpec::Unbounded, u64::MAX);
         for r in &records {
-            fold.step(alloc(r.object.0, r.alloc_site.0, r.size, r.created));
+            fold.on_alloc(alloc(r.object.0, r.alloc_site.0, r.size, r.created));
             if let (Some(t), Some(s)) = (r.last_use, r.last_use_site) {
-                fold.step(use_of(r.object.0, s.0, t));
+                fold.on_use(use_of(r.object.0, s.0, t));
             }
-            fold.step(free(r.object.0, r.freed));
+            fold.on_free(free(r.object.0, r.freed));
         }
-        assert_eq!(fold.unmatched, 0);
         let (rebuilt, _, _) = fold.profiler.into_parts();
         assert_eq!(rebuilt, records);
         let live = DragAnalyzer::new().finalize(fold.engine.into_accum());
@@ -636,11 +560,11 @@ mod tests {
     #[test]
     fn coldness_tracks_idle_residents() {
         let mut fold = fold_with(WindowSpec::Unbounded, 1_000);
-        fold.step(alloc(1, 0, 64, 0));
-        fold.step(alloc(2, 1, 32, 0));
-        fold.step(use_of(2, 9, 4_900));
+        fold.on_alloc(alloc(1, 0, 64, 0));
+        fold.on_alloc(alloc(2, 1, 32, 0));
+        fold.on_use(use_of(2, 9, 4_900));
         // Advance the clock via a GC sample.
-        fold.step(LiveEvent::DeepGc(GcEvent::new(5_000).with_reachable(96, 2)));
+        fold.on_deep_gc(GcEvent::new(5_000).with_reachable(96, 2));
         let snap = fold.snapshot();
         assert_eq!(snap.resident_objects, 2);
         assert_eq!(snap.resident_bytes, 96);
@@ -658,10 +582,10 @@ mod tests {
     #[test]
     fn idle_gaps_run_from_the_previous_touch() {
         let mut fold = fold_with(WindowSpec::Unbounded, u64::MAX);
-        fold.step(alloc(1, 0, 8, 0));
-        fold.step(use_of(1, 9, 100));
-        fold.step(use_of(1, 9, 1_100));
-        fold.step(free(1, 1_200));
+        fold.on_alloc(alloc(1, 0, 8, 0));
+        fold.on_use(use_of(1, 9, 100));
+        fold.on_use(use_of(1, 9, 1_100));
+        fold.on_free(free(1, 1_200));
         let rows = fold.engine.coldness_summary();
         assert_eq!(rows.len(), 1);
         // Gaps 100, 1_000 and 100: median in bucket [64, 128).
@@ -672,22 +596,11 @@ mod tests {
     }
 
     #[test]
-    fn unmatched_events_are_counted_not_folded() {
-        let mut fold = fold_with(WindowSpec::Unbounded, u64::MAX);
-        fold.step(use_of(7, 0, 10));
-        fold.step(free(7, 20));
-        assert_eq!(fold.unmatched, 2);
-        assert_eq!(fold.engine.records(), 0);
-        // Unmatched events still move the clock the snapshots key on.
-        assert_eq!(fold.engine.clock(), 20);
-    }
-
-    #[test]
     fn exit_flush_drains_in_object_order() {
         let mut fold = fold_with(WindowSpec::Unbounded, u64::MAX);
-        fold.step(alloc(5, 0, 8, 0));
-        fold.step(alloc(2, 0, 8, 10));
-        fold.step(LiveEvent::Exit { time: 100 });
+        fold.on_alloc(alloc(5, 0, 8, 0));
+        fold.on_alloc(alloc(2, 0, 8, 10));
+        fold.on_exit(100);
         assert_eq!(fold.engine.records(), 2);
         let snap = fold.snapshot();
         assert_eq!(snap.resident_objects, 0);
@@ -697,17 +610,16 @@ mod tests {
         assert!(flushed.iter().all(|r| r.at_exit && r.freed == 100));
     }
 
-    /// When the ring overflows, the consumer sees use/free events whose
-    /// alloc event is gone. It must count them as unmatched — exactly —
-    /// and keep folding, snapshotting, and summarising without
-    /// panicking, under any seeded pattern of drops and window modes.
-    /// Runs long enough to compact the live-id list, and a dropped exit
-    /// event is made up by `finish`, as `run_live` does.
+    /// A seeded complete event stream, in either window mode and long
+    /// enough to compact the live-id list: every snapshot counts exactly
+    /// the live objects, every free folds its record once, and the exit
+    /// drains every resident — whether the survivors arrive as at-exit
+    /// frees first, as the VM sends them, or only through the exit flush.
     #[test]
-    fn the_engine_survives_event_streams_with_dropped_allocs() {
+    fn the_engine_folds_complete_event_streams() {
         use heapdrag_testkit::{check, Rng};
 
-        check("live-fold-dropped-allocs", 64, |rng: &mut Rng| {
+        check("live-fold-complete-streams", 64, |rng: &mut Rng| {
             let window = if rng.bool() {
                 WindowSpec::Rolling {
                     window: rng.range_u64(512, 8192),
@@ -718,49 +630,51 @@ mod tests {
             };
             let mut fold = fold_with(window, EngineConfig::default().cold_after);
             let mut clock = 0u64;
-            let mut expect_unmatched = 0u64;
-            let mut folded = 0u64;
-            let mut live = 0u64;
-            for i in 0..rng.range_u64(1, 3_000) {
+            let mut live = Vec::new();
+            let objects = rng.range_u64(1, 3_000);
+            for i in 0..objects {
                 let size = rng.range_u64(8, 256);
-                let known = rng.ratio(3, 4);
                 clock += size;
-                if known {
-                    fold.step(alloc(i, i as u32 % 5, size, clock));
-                    live += 1;
-                }
+                fold.on_alloc(alloc(i, i as u32 % 5, size, clock));
+                live.push(i);
                 for _ in 0..rng.range_usize(0, 4) {
+                    let id = *rng.choose(&live);
                     clock += rng.range_u64(0, 64);
-                    fold.step(use_of(i, i as u32 % 3, clock));
-                    expect_unmatched += u64::from(!known);
+                    fold.on_use(use_of(id, i as u32 % 3, clock));
                 }
                 if rng.ratio(4, 5) {
+                    let id = live.swap_remove(rng.range_usize(0, live.len()));
                     clock += rng.range_u64(0, 64);
                     let before = fold.engine.records();
-                    fold.step(free(i, clock));
-                    let folds = fold.engine.records() - before == 1;
-                    assert_eq!(folds, known, "free folds iff the alloc arrived");
-                    expect_unmatched += u64::from(!known);
-                    folded += u64::from(known);
-                    live -= u64::from(known);
+                    fold.on_free(free(id, clock));
+                    assert_eq!(fold.engine.records(), before + 1, "a free folds once");
+                }
+                if rng.ratio(1, 50) {
+                    assert_eq!(
+                        fold.snapshot().resident_objects,
+                        live.len() as u64,
+                        "a snapshot counts exactly the live objects"
+                    );
                 }
             }
-            assert_eq!(
-                fold.snapshot().resident_objects,
-                live,
-                "snapshots see the live"
-            );
-            folded += live;
+            assert_eq!(fold.snapshot().resident_objects, live.len() as u64);
             if rng.bool() {
-                fold.step(LiveEvent::Exit { time: clock });
-            } else {
-                fold.finish(clock);
+                live.sort_unstable();
+                for &id in &live {
+                    fold.on_free(free(id, clock).with_at_exit(true));
+                }
             }
-            assert_eq!(fold.unmatched, expect_unmatched, "unmatched is exact");
-            assert_eq!(fold.engine.records(), folded, "only complete objects fold");
+            fold.on_exit(clock);
+            assert_eq!(fold.engine.records(), objects, "every object folds once");
             let snap = fold.snapshot();
-            assert_eq!(snap.resident_objects, 0, "the exit drained every resident");
-            let _ = fold.engine.coldness_summary();
+            assert_eq!(snap.resident_objects, 0, "the exit drains every resident");
+            let (records, _, _) = fold.profiler.into_parts();
+            assert_eq!(records.len() as u64, objects);
+            assert_eq!(
+                records.iter().filter(|r| r.at_exit).count(),
+                live.len(),
+                "survivors leave as at-exit records"
+            );
         });
     }
 }

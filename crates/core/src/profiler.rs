@@ -11,10 +11,10 @@
 //! place. The records therefore come out in id order without a sort, and
 //! memory stays one record plus one `u32` per object.
 //!
-//! This is the only trailer table: the live consumer of [`crate::live`]
-//! steps a `DragProfiler` with the ring's events through the
-//! `record_*` methods, which report what they matched, and folds every
-//! record it finishes.
+//! This is the only trailer table: the live fold of [`crate::live`]
+//! steps a `DragProfiler` with the VM's events through the `record_*`
+//! methods, which return what they finished, and folds every record it
+//! finishes.
 
 use heapdrag_obs::{Counter, Gauge, Registry};
 use heapdrag_vm::error::VmError;
@@ -143,8 +143,7 @@ impl DragProfiler {
     /// Records a use of a live object (last-write-wins) and returns its
     /// allocation site and the time it was touched before this use — its
     /// previous use, or its creation. `None` when the object has no live
-    /// trailer (never announced, already finished, or its allocation
-    /// event was lost).
+    /// trailer (never announced, or already finished).
     pub(crate) fn record_use(&mut self, event: UseEvent) -> Option<(ChainId, u64)> {
         if let Some(m) = &self.metrics {
             m.ev_use[event.kind as usize].inc();
@@ -166,27 +165,6 @@ impl DragProfiler {
         }
         self.live_index(event.object)?;
         Some(self.finish(event.object.0 as usize, event.time, event.at_exit))
-    }
-
-    /// Records a retaining-path sample against the sampled object's
-    /// allocation site. Returns whether the object had a live trailer;
-    /// a sample that resolves nothing is dropped.
-    pub(crate) fn record_retain(&mut self, event: RetainEvent) -> bool {
-        if let Some(m) = &self.metrics {
-            m.retains.inc();
-        }
-        let Some(i) = self.live_index(event.object) else {
-            return false;
-        };
-        self.retains.push(RetainRecord {
-            alloc_site: self.records[i].alloc_site,
-            size: event.size,
-            time: event.time,
-            depth: event.path.depth,
-            truncated: event.path.truncated,
-            path: event.path.text,
-        });
-        true
     }
 
     /// The exit flush: finishes every still-live trailer as an at-exit
@@ -262,9 +240,23 @@ impl HeapObserver for DragProfiler {
     }
 
     /// The sampled object is alive (it survived the mark), so its trailer
-    /// resolves the allocation site.
+    /// resolves the allocation site; a sample that resolves nothing is
+    /// dropped.
     fn on_retain_sample(&mut self, event: RetainEvent) {
-        self.record_retain(event);
+        if let Some(m) = &self.metrics {
+            m.retains.inc();
+        }
+        let Some(i) = self.live_index(event.object) else {
+            return;
+        };
+        self.retains.push(RetainRecord {
+            alloc_site: self.records[i].alloc_site,
+            size: event.size,
+            time: event.time,
+            depth: event.path.depth,
+            truncated: event.path.truncated,
+            path: event.path.text,
+        });
     }
 
     fn on_exit(&mut self, time: u64) {

@@ -24,8 +24,8 @@
 //! The pipeline registers its families by subsystem prefix: `heapdrag_*`
 //! for the profiler/analyzer core, `heapdrag_serve_*` for the
 //! multi-session service, `heapdrag_optimize_*` for the fleet optimizer,
-//! and `heapdrag_live_*` for in-process live mode (events fed, ring
-//! drops, snapshots emitted, unmatched events, ring capacity).
+//! and `heapdrag_live_*` for in-process live mode (events folded,
+//! snapshots emitted).
 //!
 //! ```
 //! use heapdrag_obs::Registry;
@@ -43,6 +43,7 @@
 //! assert!(snapshot.render_prometheus().contains("# TYPE latency_us histogram"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod counter;

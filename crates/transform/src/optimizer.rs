@@ -38,13 +38,6 @@ pub struct OptimizerOptions {
     pub min_drag_share: f64,
     /// Visit at most this many sites.
     pub max_sites: usize,
-    /// Allow path-anchored assign-null: when liveness finds no dead
-    /// local, null the *static* named by the site's sampled retaining
-    /// path after the profile's dominant last use. Profile-guided rather
-    /// than statically proven, so it defaults to `false`; enable it only
-    /// behind an output-differential check (the fleet driver's
-    /// transactional verify).
-    pub path_anchoring: bool,
 }
 
 impl Default for OptimizerOptions {
@@ -52,7 +45,6 @@ impl Default for OptimizerOptions {
         OptimizerOptions {
             min_drag_share: 0.01,
             max_sites: 25,
-            path_anchoring: false,
         }
     }
 }
@@ -462,6 +454,11 @@ pub fn optimize_site(
 /// looked up in it). After the call the program is relinked by the caller
 /// via [`Program::link`] — the transforms keep jump targets consistent, so
 /// this is just a revalidation.
+///
+/// It attempts no path-anchored assign-null: that placement is guided by
+/// the profile, not proven by an analysis, so only a caller that verifies
+/// every rewrite (`optimize-fleet`) computes anchors, with
+/// [`find_path_anchor`].
 pub fn optimize(
     program: &mut Program,
     run: &ProfileRun,
@@ -480,12 +477,7 @@ pub fn optimize(
         if run.sites.innermost(entry.site).is_none() {
             continue;
         }
-        let anchor = if options.path_anchoring {
-            find_path_anchor(program, run, report, entry.site)
-        } else {
-            None
-        };
-        let step = optimize_site(program, run, entry, anchor.as_ref(), &mut state);
+        let step = optimize_site(program, run, entry, None, &mut state);
         outcome.applied.extend(step.applied);
         outcome.refused.extend(step.refused);
         outcome.attempts.push(step.attempt);

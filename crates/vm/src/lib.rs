@@ -44,6 +44,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod asm;
@@ -58,7 +59,6 @@ pub mod heap;
 pub mod ids;
 pub mod insn;
 pub mod interp;
-pub mod live;
 pub mod metrics;
 pub mod observer;
 pub mod predecode;
@@ -73,7 +73,6 @@ pub use error::VmError;
 pub use ids::{ChainId, ClassId, MethodId, ObjectId, SiteId, StaticId, VSlot};
 pub use insn::{Insn, OpcodeClass};
 pub use interp::{InterpreterKind, RunOutcome, Vm, VmConfig};
-pub use live::{ring, LiveEvent, LiveProfiler, LiveShared, RingConsumer, RingProducer};
 pub use metrics::VmMetrics;
 pub use observer::{HeapObserver, UseDelivery, UseKind};
 pub use program::Program;

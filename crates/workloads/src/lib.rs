@@ -10,6 +10,7 @@
 //! including the leaky `Vector.removeLast` the paper fixes inside the JDK
 //! for `jess`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyzer;

@@ -57,6 +57,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fleet;
 
 pub use heapdrag_analysis as analysis;

@@ -46,6 +46,8 @@
 //! footer (which names the detected input format) to the report;
 //! `--max-errors N` bounds how much corruption salvage will tolerate.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
@@ -66,10 +68,6 @@ use heapdrag::vm::retain::RetainConfig;
 use heapdrag::vm::{InterpreterKind, Program, SiteId, Vm, VmConfig as RawConfig};
 use heapdrag::workloads::workload_by_name;
 
-/// The largest `--ring` accepted: 2^22 events, a 224 MiB ring of 56-byte
-/// slots on x86-64, allocated up front.
-const MAX_RING_CAPACITY: usize = 1 << 22;
-
 /// The most rolling-window buckets accepted, `⌈window / advance⌉`: each
 /// bucket is allocated up front.
 const MAX_WINDOW_BUCKETS: u64 = 1 << 16;
@@ -82,7 +80,7 @@ const USAGE: &str = "usage:
                     [--retain-sample <rate>] [input ints...]
   heapdrag live     <workload | prog> [--window <bytes>|unbounded]
                     [--retain-sample <rate>]
-                    [--advance N] [--cold-after N] [--every N] [--ring N]
+                    [--advance N] [--cold-after N] [--every N]
                     [--snapshot-out <path>] [input ints...]
   heapdrag report   <log file | -> [--top N] [--shards N] [--chunk-records N]
                     (`analyze` is an alias; `-` streams the trace from stdin)
@@ -131,10 +129,6 @@ live flags (live / profile --live-window):
                          object counts as cold (default 262144)
   --every <bytes>        snapshot every N bytes of allocation (default
                          524288)
-  --ring <events>        in-process event ring capacity, rounded up to a
-                         power of two (default 262144, at most 4194304);
-                         on overflow events are dropped and counted, the
-                         VM never blocks
   --snapshot-out <path>  write snapshots to <path> instead of stdout
                          (the final report always goes to stdout)
 
@@ -204,7 +198,6 @@ struct Args {
     advance: Option<u64>,
     cold_after: Option<u64>,
     every: Option<u64>,
-    ring: Option<usize>,
     snapshot_out: Option<String>,
 }
 
@@ -261,7 +254,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         advance: None,
         cold_after: None,
         every: None,
-        ring: None,
         snapshot_out: None,
     };
     let mut it = raw.iter();
@@ -369,16 +361,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                 let v = it.next().ok_or("--every needs a number")?;
                 args.every = Some(parse_positive("--every", v)?);
             }
-            "--ring" => {
-                let v = it.next().ok_or("--ring needs a number")?;
-                let n = parse_positive("--ring", v)?;
-                if n > MAX_RING_CAPACITY {
-                    return Err(format!(
-                        "bad --ring: expected at most {MAX_RING_CAPACITY} events, got `{v}`"
-                    ));
-                }
-                args.ring = Some(n);
-            }
             "--snapshot-out" => {
                 args.snapshot_out = Some(it.next().ok_or("--snapshot-out needs a path")?.clone());
             }
@@ -403,6 +385,8 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                     _ => return Err(format!("bad --interpreter `{v}` (fast|reference)")),
                 };
             }
+            // `-` (stdin) and negative inputs such as `-3` stay positional.
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             other => args.positional.push(other.to_string()),
         }
     }
@@ -656,14 +640,11 @@ fn live_options_for(args: &Args, window: Option<u64>) -> LiveOptions {
     if let Some(n) = args.every {
         options.every = n;
     }
-    if let Some(n) = args.ring {
-        options.ring_capacity = n;
-    }
     options
 }
 
 /// Where live snapshots go: `--snapshot-out <path>`, or stdout.
-fn snapshot_sink(args: &Args) -> Result<Box<dyn std::io::Write + Send>, String> {
+fn snapshot_sink(args: &Args) -> Result<Box<dyn std::io::Write>, String> {
     Ok(match &args.snapshot_out {
         Some(p) => Box::new(std::io::BufWriter::new(
             std::fs::File::create(p).map_err(|e| format!("{p}: {e}"))?,
@@ -736,8 +717,7 @@ fn run_main() -> Result<(), String> {
             let input = input_ints(&args.positional[1..])?;
             let run = if let Some(window) = args.live_window {
                 // One-shot live mode: snapshots while the VM runs, then
-                // the same log bytes the file-logging profiler writes
-                // (whenever no events were dropped).
+                // the same log bytes the file-logging profiler writes.
                 let options = live_options_for(&args, window);
                 let mut sink = snapshot_sink(&args)?;
                 let live = run_live(

@@ -1,18 +1,17 @@
 //! Live-vs-post-mortem differential suite: with an unbounded window, the
-//! in-process live path (VM → SPSC ring → `DragProfiler` → `DragEngine`)
-//! must reproduce the file-logging post-mortem path *byte-identically* —
-//! the trailer records, the GC samples, and the rendered report — for all
-//! nine workloads, against the `report` output at both trace formats and
+//! in-process live path (VM → `DragProfiler` → `DragEngine`, all on the
+//! VM thread) must reproduce the file-logging post-mortem path
+//! *byte-identically* — the trailer records, the GC samples, and the
+//! rendered report — for all nine workloads, against the `report` output at both trace formats and
 //! shards 1/4/7. And it must do so while actually being live: every run
 //! asserts at least one intermediate snapshot carrying coldness data,
-//! zero ring drops, and zero unmatched events.
+//! zero dropped events, and zero unmatched events.
 
 use heapdrag::core::{
-    profile, run_live, DragAnalyzer, LiveOptions, LogFormat, Pipeline, ProfileRun, ReportSections,
-    VmConfig,
+    profile, run_live, LiveOptions, LogFormat, Pipeline, ProfileRun, ReportSections, VmConfig,
 };
 use heapdrag::vm::retain::RetainConfig;
-use heapdrag::vm::{Program, SiteId};
+use heapdrag::vm::Program;
 use heapdrag::workloads::{all_workloads, workload_by_name};
 
 fn encode(run: &ProfileRun, program: &Program, format: LogFormat) -> Vec<u8> {
@@ -127,30 +126,42 @@ fn live_retain_samples_match_the_profiler_on_retained_workloads() {
     }
 }
 
-/// With a ring far too small for the run, whichever events survive —
-/// the exit event included, which the VM sends right after its flood of
-/// at-exit frees — every record the run returns is finished and folded
-/// exactly once: the final report is the analysis of those records.
+/// A churn workload snapshotted every 4096 bytes: each snapshot walks
+/// every live object on the VM thread, and still every event reaches the
+/// fold, so the run returns the profiler's records and the post-mortem
+/// report.
 #[test]
-fn a_tiny_ring_reports_exactly_the_returned_records() {
-    for name in ["jess", "db"] {
-        let w = workload_by_name(name).expect("a paper workload");
-        let live = run_live(
-            &w.original(),
-            &(w.default_input)(),
-            VmConfig::profiling(),
-            &LiveOptions {
-                ring_capacity: 2,
-                ..LiveOptions::default()
-            },
-            None,
-            |_: &str| {},
-        )
-        .unwrap_or_else(|e| panic!("{name}: live run: {e}"));
-        assert!(live.dropped > 0, "{name}: a 2-slot ring dropped nothing");
-        let offline = DragAnalyzer::new().analyze(&live.records, |c| Some(SiteId(c.0)));
-        assert_eq!(live.report, offline, "{name}: folded records differ");
-    }
+fn a_dense_snapshot_cadence_loses_no_events() {
+    let w = workload_by_name("jess").expect("a paper workload");
+    let program = w.original();
+    let input = [3000, 30, 28];
+    let run = profile(&program, &input, VmConfig::profiling()).expect("jess profiles");
+    let mut snapshots = 0u64;
+    let live = run_live(
+        &program,
+        &input,
+        VmConfig::profiling(),
+        &LiveOptions {
+            every: 4096,
+            ..LiveOptions::default()
+        },
+        None,
+        |_: &str| snapshots += 1,
+    )
+    .expect("live run");
+    assert_eq!(live.dropped, 0);
+    assert_eq!(live.snapshots, snapshots);
+    assert!(live.snapshots >= 1_000, "{} snapshots", live.snapshots);
+    assert_eq!(live.records, run.records, "record parity");
+    let bytes = encode(&run, &program, LogFormat::Binary);
+    let streamed = Pipeline::options()
+        .analyze_reader(&bytes[..])
+        .expect("the log streams");
+    assert_eq!(
+        ReportSections::standard(&live.report, &live).render(),
+        ReportSections::standard(&streamed.report, &streamed).render(),
+        "live report differs from the post-mortem one"
+    );
 }
 
 #[test]
