@@ -30,7 +30,9 @@
 #      multi-session service must produce a fleet report byte-identical
 #      to `fleet-report` over the same logs submitted in a different
 #      order, with the heapdrag_serve_* accounting reconciled in the
-#      metrics snapshot
+#      metrics snapshot; a second spool that adds a truncated trace must
+#      exit nonzero with exactly one failed session and the same fleet
+#      report
 #  12. a differential smoke: one workload profiled under both interpreter
 #      dispatch loops (--interpreter fast|reference) must write
 #      byte-identical logs in both formats and byte-identical reports,
@@ -206,6 +208,19 @@ grep -q '^=== fleet drag report: 3 sessions merged' "$tmp/fleet-spool.txt"
 grep -q '^heapdrag_serve_sessions_completed_total 3$' "$tmp/serve.prom"
 grep -q '^heapdrag_serve_active_sessions 0$' "$tmp/serve.prom"
 grep -q '^heapdrag_serve_inflight_chunks 0$' "$tmp/serve.prom"
+# A truncated trace beside the same three: its session fails, `serve`
+# exits nonzero, and the fleet report over the three that completed is
+# byte-identical to the one above.
+mkdir -p "$tmp/spool-bad"
+cp "$tmp/spool/"*.log "$tmp/spool-bad/"
+head -c 2000 "$tmp/spool/a.log" > "$tmp/spool-bad/d-truncated.log"
+if "$bin" serve --spool "$tmp/spool-bad" --pool 2 --drivers 2 --top 5 \
+    > "$tmp/fleet-spool-bad.txt" 2> "$tmp/serve-sessions-bad.txt"; then
+    echo "serve exited 0 although a session failed" >&2
+    exit 1
+fi
+[ "$(grep -c $'\tfailed\t' "$tmp/serve-sessions-bad.txt")" -eq 1 ]
+diff -u "$tmp/fleet-spool.txt" "$tmp/fleet-spool-bad.txt"
 
 echo "== smoke: differential interpreters =="
 # The fast pre-decoded interpreter is the default; the reference step()

@@ -18,8 +18,7 @@ use std::time::Instant;
 
 use heapdrag_vm::ids::{ChainId, SiteId};
 
-use crate::engine::IdMap;
-pub(crate) use crate::engine::{accumulate_shard, PartialStats, ShardAccum};
+use crate::engine::{accumulate, DragFold, IdMap, PartialStats};
 use crate::integrals::Integrals;
 use crate::parallel::{ParallelConfig, ParallelMetrics, ShardMetrics};
 use crate::pattern::{classify_from_sums, LifetimePattern, PatternConfig, TransformKind};
@@ -305,8 +304,7 @@ impl DragAnalyzer {
     where
         F: Fn(ChainId) -> Option<SiteId>,
     {
-        let accum = accumulate_shard(records, &self.config.patterns, &innermost);
-        self.finalize(accum)
+        self.finalize(accumulate(records, &self.config.patterns, &innermost))
     }
 
     /// The sharded analysis behind [`crate::Pipeline::analyze_records`]:
@@ -345,39 +343,33 @@ impl DragAnalyzer {
         metrics.split_elapsed = split_start.elapsed();
 
         let innermost = &innermost;
-        let shard_results: Vec<(ShardAccum, ShardMetrics)> = if workers <= 1 {
+        let run_shard = |shard: usize, slice: &[ObjectRecord]| {
             let t = Instant::now();
-            let accum = accumulate_shard(records, patterns, innermost);
+            let fold = accumulate(slice, patterns, innermost);
             let m = ShardMetrics {
-                shard: 0,
-                records: records.len() as u64,
+                shard,
+                records: slice.len() as u64,
                 samples: 0,
-                groups: accum.group_count(),
+                groups: fold.group_count(),
                 elapsed: t.elapsed(),
             };
-            vec![(accum, m)]
+            (fold, m)
+        };
+        let shard_results: Vec<(DragFold, ShardMetrics)> = if workers <= 1 {
+            vec![run_shard(0, records)]
         } else {
             // One borrowing job per shard on the shared pool; `scope`
             // blocks until every slot is written.
-            let mut slots: Vec<Option<(ShardAccum, ShardMetrics)>> =
+            let mut slots: Vec<Option<(DragFold, ShardMetrics)>> =
                 slices.iter().map(|_| None).collect();
+            let run_shard = &run_shard;
             let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = slots
                 .iter_mut()
                 .zip(slices.iter().copied())
                 .enumerate()
                 .map(|(shard, (slot, slice))| {
-                    Box::new(move || {
-                        let t = Instant::now();
-                        let accum = accumulate_shard(slice, patterns, innermost);
-                        let m = ShardMetrics {
-                            shard,
-                            records: slice.len() as u64,
-                            samples: 0,
-                            groups: accum.group_count(),
-                            elapsed: t.elapsed(),
-                        };
-                        *slot = Some((accum, m));
-                    }) as Box<dyn FnOnce() + Send + '_>
+                    Box::new(move || *slot = Some(run_shard(shard, slice)))
+                        as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
             crate::serve::WorkerPool::shared().scope(jobs);
@@ -388,9 +380,9 @@ impl DragAnalyzer {
         };
 
         let merge_start = Instant::now();
-        let mut merged = ShardAccum::default();
-        for (accum, m) in shard_results {
-            merged.merge(accum);
+        let mut merged = DragFold::default();
+        for (fold, m) in shard_results {
+            merged.merge(fold);
             metrics.shards.push(m);
         }
         let report = self.finalize(merged);
@@ -399,15 +391,19 @@ impl DragAnalyzer {
         (report, metrics)
     }
 
-    /// Classification, entry construction, and sorting over merged groups.
-    pub(crate) fn finalize(&self, accum: ShardAccum) -> DragReport {
+    /// Classification, entry construction, and sorting over a merged
+    /// fold, with its retain samples attached. The run counters are not
+    /// part of the report.
+    pub(crate) fn finalize(&self, fold: DragFold) -> DragReport {
         let patterns = &self.config.patterns;
-        let ShardAccum {
+        let DragFold {
             nested,
             coarse,
             pairs,
             totals,
-        } = accum;
+            retains,
+            ..
+        } = fold;
 
         let mut by_nested_site: Vec<NestedSiteEntry> =
             finalize_groups(nested, patterns, |site, stats| NestedSiteEntry {
@@ -445,14 +441,16 @@ impl DragAnalyzer {
             .cloned()
             .collect();
 
-        DragReport {
+        let mut report = DragReport {
             by_nested_site,
             by_coarse_site,
             by_alloc_and_last_use,
             never_used_sites,
             retaining: Vec::new(),
             totals,
-        }
+        };
+        report.attach_retains(&retains);
+        report
     }
 }
 

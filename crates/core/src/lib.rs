@@ -34,6 +34,13 @@
 //! stream through [`Pipeline::analyze_reader`], which reads any
 //! [`std::io::Read`] in bounded memory (see [`stream`]).
 //!
+//! Every analysis path — a record slice at any shard count, a streamed
+//! trace, the [`serve`] layer's fleet merge across sessions, and a
+//! [`live`] run ([`run_live`]) — folds records into the same exact-integer
+//! per-site sums and run counters, merges them by integer addition, and
+//! classifies and sorts once at the end, which is why their reports agree
+//! byte for byte.
+//!
 //! Logs from crashed, killed, or out-of-disk runs can still be analyzed:
 //! salvage mode ([`Pipeline::salvage`]) drops what cannot be decoded,
 //! repairs a missing end-of-log marker, and reports a [`SalvageSummary`];
@@ -68,7 +75,7 @@
 pub mod analyzer;
 pub mod codec;
 pub mod compare;
-pub mod engine;
+mod engine;
 pub mod histogram;
 pub mod integrals;
 pub mod live;
@@ -87,13 +94,9 @@ mod u256;
 pub use analyzer::{AnalyzerConfig, DragAnalyzer, DragReport};
 pub use codec::{BinarySink, LogFormat, TextSink, TraceSink};
 pub use compare::SavingsReport;
-pub use engine::{
-    ColdSite, DragEngine, EngineConfig, EngineSnapshot, IdleHistogram, SiteIdleSummary,
-    SnapshotSite, WindowSpec,
-};
 pub use histogram::{Buckets, LifetimeHistogram};
 pub use integrals::Integrals;
-pub use live::{run_live, LiveOptions, LiveRun};
+pub use live::{run_live, LiveOptions, LiveRun, SiteIdleSummary, WindowSpec};
 pub use log::{ErrorCode, IngestConfig, IngestMode, Ingested, LogError, ParsedLog, SalvageSummary};
 pub use parallel::{ParallelConfig, ParallelMetrics, ShardMetrics};
 pub use pattern::{LifetimePattern, PatternConfig, TransformKind};

@@ -54,15 +54,15 @@ use std::time::{Duration, Instant};
 use heapdrag_vm::ids::{ChainId, SiteId};
 use heapdrag_vm::program::Program;
 
-use crate::analyzer::{accumulate_shard, DragAnalyzer, DragReport, ShardAccum};
+use crate::analyzer::{DragAnalyzer, DragReport};
 use crate::codec::LogFormat;
-use crate::engine::DragEngine;
+use crate::engine::{DragFold, StreamDragFold};
 use crate::log::{
     write_run_to, IngestConfig, IngestMode, Ingested, LogError, ParsedLog, SalvageSummary,
 };
 use crate::parallel::{ParallelConfig, ParallelMetrics, ShardMetrics};
 use crate::profiler::ProfileRun;
-use crate::record::{ObjectRecord, RetainRecord};
+use crate::record::ObjectRecord;
 use crate::report::ChainNamer;
 use crate::serve::WorkerPool;
 use crate::stream::{self, CollectFold, StreamStats};
@@ -196,27 +196,17 @@ impl StreamReport {
     }
 }
 
-/// The mergeable half of a streamed analysis: the exact-integer per-site
-/// partial aggregates plus the log-level context, before classification
-/// and sorting. This is what a serve session retains — partials of
-/// different sessions merge commutatively (the same [`ShardAccum::merge`]
-/// the shard merge uses), which is what makes the fleet report invariant
-/// under session arrival order.
+/// The mergeable half of a streamed analysis: the [`DragFold`] (per-site
+/// partial aggregates and run counters, exact integers) plus the
+/// log-level context, before classification and sorting. This is what a
+/// serve session retains — folds of different sessions merge
+/// commutatively (the same [`DragFold::merge`] the shard merge uses),
+/// which is what makes the fleet report invariant under session arrival
+/// order.
 #[derive(Debug, Clone)]
 pub(crate) struct AnalyzePartials {
-    /// Per-site partial aggregates (exact integers, commutative merge).
-    pub(crate) accum: ShardAccum,
-    /// Object records folded.
-    pub(crate) records: u64,
-    /// Total bytes allocated by those records.
-    pub(crate) alloc_bytes: u64,
-    /// Records still live at exit.
-    pub(crate) at_exit: u64,
-    /// Deep-GC samples folded.
-    pub(crate) samples: u64,
-    /// Retaining-path samples folded (full records — they merge across
-    /// sessions by concatenation, then aggregate at finalize).
-    pub(crate) retains: Vec<RetainRecord>,
+    /// Per-site partial aggregates and run counters.
+    pub(crate) fold: DragFold,
     /// What salvage kept, dropped, and repaired.
     pub(crate) salvage: SalvageSummary,
     /// Final allocation-clock value.
@@ -431,16 +421,14 @@ impl Pipeline {
         R: io::Read,
         F: Fn(ChainId) -> Option<SiteId>,
     {
-        let fold = DragEngine::offline(self.analyzer.config().patterns, innermost);
+        let fold = StreamDragFold {
+            fold: DragFold::default(),
+            patterns: self.analyzer.config().patterns,
+            innermost,
+        };
         let out = stream::run(reader, &self.par, &self.ingest, fold, pool)?;
-        let (accum, records, alloc_bytes, at_exit, samples, retains) = out.fold.into_fold_parts();
         Ok(AnalyzePartials {
-            accum,
-            records,
-            alloc_bytes,
-            at_exit,
-            samples,
-            retains,
+            fold: out.fold.fold,
             salvage: out.salvage,
             end_time: out.end_time,
             chain_names: out.chain_names,
@@ -454,15 +442,17 @@ impl Pipeline {
     /// analyze_partials_on` is exactly `analyze_reader_with`.
     pub(crate) fn finalize_partials(&self, partials: AnalyzePartials) -> StreamReport {
         let finalize_start = Instant::now();
-        let groups = partials.accum.group_count();
-        let mut report = self.analyzer.finalize(partials.accum);
-        report.attach_retains(&partials.retains);
+        let f = &partials.fold;
+        let (records, alloc_bytes, at_exit, samples) =
+            (f.records, f.alloc_bytes, f.at_exit, f.samples);
+        let (retains, groups) = (f.retains.len() as u64, f.group_count());
+        let report = self.analyzer.finalize(partials.fold);
         let finalize_elapsed = finalize_start.elapsed();
         let analyze_metrics = ParallelMetrics {
             shards: vec![ShardMetrics {
                 shard: 0,
-                records: partials.records,
-                samples: partials.samples,
+                records,
+                samples,
                 groups,
                 elapsed: partials.parse_metrics.total_elapsed,
             }],
@@ -475,11 +465,11 @@ impl Pipeline {
             salvage: partials.salvage,
             end_time: partials.end_time,
             chain_names: partials.chain_names,
-            records: partials.records,
-            alloc_bytes: partials.alloc_bytes,
-            at_exit: partials.at_exit,
-            samples: partials.samples,
-            retains: partials.retains.len() as u64,
+            records,
+            alloc_bytes,
+            at_exit,
+            samples,
+            retains,
             parse_metrics: partials.parse_metrics,
             analyze_metrics,
             stats: partials.stats,
@@ -508,8 +498,7 @@ impl Pipeline {
     where
         F: Fn(ChainId) -> Option<SiteId>,
     {
-        let accum = accumulate_shard(records, &self.analyzer.config().patterns, &innermost);
-        self.analyzer.finalize(accum)
+        self.analyzer.analyze(records, innermost)
     }
 
     /// Streams a profiling run to `writer` in the builder's

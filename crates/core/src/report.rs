@@ -14,7 +14,7 @@ use heapdrag_vm::program::Program;
 use heapdrag_vm::site::SiteTable;
 
 use crate::analyzer::DragReport;
-use crate::engine::SiteIdleSummary;
+use crate::live::SiteIdleSummary;
 use crate::log::SalvageSummary;
 
 /// Resolves chain ids to readable site names.

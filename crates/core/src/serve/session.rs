@@ -8,6 +8,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::io::{Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -17,7 +18,7 @@ use std::time::{Duration, Instant};
 use heapdrag_obs::{Counter, Gauge, Registry};
 use heapdrag_vm::ids::{ChainId, SiteId};
 
-use crate::analyzer::ShardAccum;
+use crate::engine::DragFold;
 use crate::log::SalvageSummary;
 use crate::pipeline::{AnalyzePartials, Pipeline, PipelineError};
 use crate::report::ReportSections;
@@ -174,7 +175,7 @@ pub enum SessionState {
     /// per-session reports and the fleet merge.
     Completed,
     /// The pipeline failed (I/O error, strict-mode log fault, salvage
-    /// error budget exceeded).
+    /// error budget exceeded), or its source panicked.
     Failed,
     /// Canceled before or during its run.
     Canceled,
@@ -528,7 +529,7 @@ impl ServeManager {
                 name: s.name.clone(),
                 state: s.state,
                 cost: s.cost,
-                records: s.partials.as_ref().map_or(0, |p| p.records),
+                records: s.partials.as_ref().map_or(0, |p| p.fold.records),
                 stats: s.partials.as_ref().map(|p| p.stats),
                 queued_for: s.queued_for(now),
                 running_for: s.running_for(now),
@@ -580,21 +581,12 @@ impl ServeManager {
             (list, self.shared.default_pipe)
         };
         let merged_sessions = partials.len();
-        let mut accum = ShardAccum::default();
+        let mut fold = DragFold::default();
         let mut names: HashMap<ChainId, String> = HashMap::new();
-        let (mut records, mut alloc_bytes, mut at_exit, mut samples) = (0u64, 0u64, 0u64, 0u64);
         let mut end_time = 0u64;
-        // Retain samples merge by concatenation: attach_retains sums per
-        // (site, path) and sorts canonically, so session order is moot.
-        let mut retains = Vec::new();
         for p in partials {
-            records += p.records;
-            alloc_bytes += p.alloc_bytes;
-            at_exit += p.at_exit;
-            samples += p.samples;
+            fold.merge(p.fold);
             end_time = end_time.max(p.end_time);
-            retains.extend(p.retains);
-            accum.merge(p.accum);
             for (id, name) in p.chain_names {
                 names
                     .entry(id)
@@ -607,12 +599,7 @@ impl ServeManager {
             }
         }
         let fleet = AnalyzePartials {
-            accum,
-            records,
-            alloc_bytes,
-            at_exit,
-            samples,
-            retains,
+            fold,
             salvage: SalvageSummary::default(),
             end_time,
             chain_names: names,
@@ -622,7 +609,9 @@ impl ServeManager {
         let sr = pipe.finalize_partials(fleet);
         format!(
             "=== fleet drag report: {merged_sessions} sessions merged, \
-             {records} records, {alloc_bytes} bytes allocated ===\n\n{}",
+             {} records, {} bytes allocated ===\n\n{}",
+            sr.records,
+            sr.alloc_bytes,
             ReportSections::standard(&sr.report, &sr).top(top).render()
         )
     }
@@ -703,7 +692,12 @@ fn driver_loop(shared: &Shared) {
             cancel,
             source,
         } = claimed;
-        let result = run_session(shared, &pipe, &cancel, source);
+        // A source that panics fails its own session: the driver, its
+        // `running` slot and the budget reservation all survive it.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_session(shared, &pipe, &cancel, source).map_err(|e| e.to_string())
+        }))
+        .unwrap_or_else(|_| Err("session panicked".to_string()));
         finish_session(shared, id, cost, &cancel, result);
     }
 }
@@ -773,7 +767,7 @@ fn finish_session(
     id: u64,
     cost: u64,
     cancel: &AtomicBool,
-    result: Result<AnalyzePartials, PipelineError>,
+    result: Result<AnalyzePartials, String>,
 ) {
     let mut st = shared.state.lock().expect("serve state poisoned");
     let m = &shared.metrics;
@@ -789,7 +783,7 @@ fn finish_session(
                 let reply = render_session(&pipe, partials, 10);
                 respond(&mut s.responder, &reply);
             }
-            Err(e) => {
+            Err(msg) => {
                 if cancel.load(Ordering::Relaxed) {
                     s.state = SessionState::Canceled;
                     s.error = Some("canceled while running".to_string());
@@ -797,7 +791,6 @@ fn finish_session(
                     respond(&mut s.responder, "error: canceled\n");
                 } else {
                     s.state = SessionState::Failed;
-                    let msg = e.to_string();
                     respond(&mut s.responder, &format!("error: {msg}\n"));
                     s.error = Some(msg);
                     m.failed.inc();
@@ -930,7 +923,18 @@ mod tests {
         let a = fleet_of(&[0, 1, 2]);
         let b = fleet_of(&[2, 0, 1]);
         assert_eq!(a, b);
-        assert!(a.starts_with("=== fleet drag report: 3 sessions merged"));
+        // The merged run counters are the sums of the single-shot ones.
+        let (mut records, mut alloc_bytes) = (0, 0);
+        for t in &traces {
+            let sr = Pipeline::options().analyze_reader(&t[..]).unwrap();
+            records += sr.records;
+            alloc_bytes += sr.alloc_bytes;
+        }
+        let header = format!(
+            "=== fleet drag report: 3 sessions merged, \
+             {records} records, {alloc_bytes} bytes allocated ===\n"
+        );
+        assert!(a.starts_with(&header), "{a}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Live-vs-post-mortem differential suite: with an unbounded window, the
-//! in-process live path (VM → `DragProfiler` → `DragEngine`, all on the
+//! in-process live path (VM → `DragProfiler` → drag fold, all on the
 //! VM thread) must reproduce the file-logging post-mortem path
 //! *byte-identically* — the trailer records, the GC samples, and the
 //! rendered report — for all nine workloads, against the `report` output at both trace formats and

@@ -1,11 +1,13 @@
 //! Seeded stress schedules for the serve layer: random session mixes —
-//! clean and fault-mutated traces, strict and salvage policies, random
-//! shard counts, interleaved cancels, occasional over-budget rejects —
+//! clean and fault-mutated traces, sources that panic mid-read, strict
+//! and salvage policies, random shard counts, interleaved cancels,
+//! occasional over-budget rejects —
 //! against a randomly sized shared pool. Every case must finish inside a
 //! bounded-time watchdog (no deadlocks), panic-free, with every session
 //! in a terminal state and the `heapdrag_serve_*` counters reconciling
 //! *exactly* against the final per-session states.
 
+use std::io::Read;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
@@ -37,10 +39,31 @@ fn clean_log() -> String {
     text
 }
 
+/// A session source that hands out its bytes, then panics on the next
+/// read.
+struct PanicReader {
+    bytes: Vec<u8>,
+}
+
+impl Read for PanicReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.bytes.is_empty() {
+            panic!("session source panicked mid-read");
+        }
+        let n = self.bytes.len().min(buf.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes.drain(..n);
+        Ok(n)
+    }
+}
+
 /// One pre-drawn session in a schedule. All randomness is drawn before
 /// the watchdog thread starts so the case stays deterministic per seed.
 struct PlannedSession {
     bytes: Vec<u8>,
+    /// Read `bytes` through a [`PanicReader`] instead of from memory:
+    /// the session must fail, and the service must carry on.
+    panics: bool,
     shards: usize,
     salvage: bool,
     /// Cancel this session right after submitting the *next* one.
@@ -56,8 +79,12 @@ struct Plan {
 
 fn draw_plan(clean: &str, rng: &mut Rng) -> Plan {
     let sessions = rng.vec(6, 14, |rng| {
+        let panics = rng.ratio(1, 8);
         let faulted = rng.ratio(2, 5);
-        let bytes = if faulted {
+        let bytes = if panics {
+            // A clean prefix, so nothing but the panic can end the read.
+            clean.as_bytes()[..clean.len() / 2].to_vec()
+        } else if faulted {
             let fault = *rng.choose(&Fault::ALL);
             inject(clean, fault, rng).0.into_bytes()
         } else {
@@ -65,6 +92,7 @@ fn draw_plan(clean: &str, rng: &mut Rng) -> Plan {
         };
         PlannedSession {
             bytes,
+            panics,
             // Up to 8 shards (cost 16) against budgets as low as 6, so
             // some sessions are legitimately rejected at admission.
             shards: rng.range_usize(1, 9),
@@ -105,13 +133,15 @@ fn run_plan(plan: Plan) {
         if s.salvage {
             pipe = pipe.salvage(None);
         }
-        let id = manager.submit(
-            SessionSpec::new(
-                format!("stress-{}", ids.len()),
-                SessionSource::Bytes(s.bytes.clone()),
-            )
-            .pipeline(pipe),
-        );
+        let source = if s.panics {
+            SessionSource::Reader(Box::new(PanicReader {
+                bytes: s.bytes.clone(),
+            }))
+        } else {
+            SessionSource::Bytes(s.bytes.clone())
+        };
+        let id = manager
+            .submit(SessionSpec::new(format!("stress-{}", ids.len()), source).pipeline(pipe));
         if s.cancel {
             pending_cancel = Some(id);
         }
@@ -125,8 +155,19 @@ fn run_plan(plan: Plan) {
     // Every session reached a terminal state, and the counters reconcile
     // exactly with the final states — no lost or double-counted session.
     let mut by_state = std::collections::HashMap::new();
-    for s in manager.sessions() {
+    for (s, planned) in manager.sessions().into_iter().zip(&plan.sessions) {
         assert!(s.state.is_terminal(), "{} stuck in {}", s.id, s.state);
+        if planned.panics {
+            assert_ne!(
+                s.state,
+                SessionState::Completed,
+                "{} survived its panic",
+                s.id
+            );
+            if s.state == SessionState::Failed {
+                assert_eq!(s.error.as_deref(), Some("session panicked"));
+            }
+        }
         *by_state.entry(s.state).or_insert(0u64) += 1;
         if s.state == SessionState::Completed {
             assert!(s.stats.is_some(), "{} completed without stats", s.id);
